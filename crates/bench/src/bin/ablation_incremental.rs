@@ -8,7 +8,7 @@
 //! result of reducing the data written to a checkpoint file, the
 //! checkpoint time will be significantly shortened".
 
-use checl::{checkpoint_checl, checkpoint_checl_incremental, CheclConfig};
+use checl::{CheclConfig, CprPolicy};
 use checl_bench::{eval_targets, Cell, FigureWriter, TraceSession, HARNESS_SCALE};
 use osproc::Cluster;
 use workloads::{workload_by_name, CheclSession, StopCondition};
@@ -47,12 +47,10 @@ fn main() {
                 .unwrap();
             s.persist_program(&mut cluster);
             let path = format!("/local/inc-{incremental}-{i}.ckpt");
-            let report = if incremental {
-                checkpoint_checl_incremental(&mut s.lib, &mut cluster, s.pid, &path)
-            } else {
-                checkpoint_checl(&mut s.lib, &mut cluster, s.pid, &path)
-            }
-            .unwrap();
+            let policy = CprPolicy::sequential().incremental(incremental);
+            let report = checl::snapshot(&mut s.lib, &mut cluster, s.pid, &path, &policy)
+                .unwrap()
+                .report;
             fig.row(vec![
                 if incremental { "incremental" } else { "full" }.into(),
                 i.into(),

@@ -17,7 +17,7 @@
 //! streamed dump, and each resumed run must reproduce the checksums of
 //! the undisturbed session.
 
-use checl::{CheclConfig, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use checl_bench::{eval_targets, Cell, FigureWriter, TraceSession};
 use clspec::types::{DeviceType, MemFlags};
 use osproc::Cluster;
@@ -139,14 +139,10 @@ fn resumed_checksums(
     node: osproc::NodeId,
     path: &str,
     vendor: cldriver::VendorConfig,
-    pipelined: bool,
 ) -> Vec<u64> {
-    let mut s = if pipelined {
+    let mut s =
         CheclSession::restart_pipelined(cluster, node, path, vendor, RestoreTarget::default())
-    } else {
-        CheclSession::restart(cluster, node, path, vendor, RestoreTarget::default())
-    }
-    .expect("restart failed");
+            .expect("restart failed");
     s.run(cluster, StopCondition::Completion).unwrap();
     let sums = s.program.checksums.clone();
     s.kill(cluster);
@@ -198,7 +194,8 @@ fn main() {
         // Baseline file the incremental variant references for buffers
         // that stay clean across the rewrite stage.
         let base = format!("/local/pl-base-{i}.ckpt");
-        s.checkpoint(&mut cluster, &base).unwrap();
+        s.checkpoint_with_policy(&mut cluster, &base, &CprPolicy::sequential())
+            .unwrap();
         s.run(&mut cluster, StopCondition::AfterOps(stop_dirty))
             .unwrap();
 
@@ -208,10 +205,21 @@ fn main() {
         // Incremental first: it must run while half the buffers are
         // still dirty (the full engines below re-mark everything clean).
         let inc = s
-            .checkpoint_pipelined_incremental(&mut cluster, &inc_path)
-            .unwrap();
-        let seq = s.checkpoint(&mut cluster, &seq_path).unwrap();
-        let pipe = s.checkpoint_pipelined(&mut cluster, &pipe_path).unwrap();
+            .checkpoint_with_policy(
+                &mut cluster,
+                &inc_path,
+                &CprPolicy::pipelined().incremental(true),
+            )
+            .unwrap()
+            .report;
+        let seq = s
+            .checkpoint_with_policy(&mut cluster, &seq_path, &CprPolicy::sequential())
+            .unwrap()
+            .report;
+        let pipe = s
+            .checkpoint_with_policy(&mut cluster, &pipe_path, &CprPolicy::pipelined())
+            .unwrap()
+            .report;
         for (mode, r) in [
             ("sequential", &seq),
             ("pipelined", &pipe),
@@ -241,12 +249,12 @@ fn main() {
         let golden = s.program.checksums.clone();
         s.kill(&mut cluster);
         let label = format!("{bufs}x{}MiB", size / MIB);
-        for (kind, path, pipelined) in [
-            ("sequential", &seq_path, false),
-            ("pipelined", &pipe_path, true),
-            ("pipe+incr", &inc_path, true),
+        for (kind, path) in [
+            ("sequential", &seq_path),
+            ("pipelined", &pipe_path),
+            ("pipe+incr", &inc_path),
         ] {
-            let sums = resumed_checksums(&mut cluster, node, path, (target.vendor)(), pipelined);
+            let sums = resumed_checksums(&mut cluster, node, path, (target.vendor)());
             assert_eq!(sums, golden, "restart from {kind} file diverged ({label})");
             equivalence.push((label.clone(), kind, true));
         }
@@ -279,8 +287,14 @@ fn main() {
             .unwrap();
         let seq_path = format!("/local/pl-mgpu-seq-{devices}.ckpt");
         let pipe_path = format!("/local/pl-mgpu-pipe-{devices}.ckpt");
-        let seq = s.checkpoint(&mut cluster, &seq_path).unwrap();
-        let pipe = s.checkpoint_pipelined(&mut cluster, &pipe_path).unwrap();
+        let seq = s
+            .checkpoint_with_policy(&mut cluster, &seq_path, &CprPolicy::sequential())
+            .unwrap()
+            .report;
+        let pipe = s
+            .checkpoint_with_policy(&mut cluster, &pipe_path, &CprPolicy::pipelined())
+            .unwrap()
+            .report;
         for (mode, r) in [("sequential", &seq), ("pipelined", &pipe)] {
             fig.row(vec![
                 mode.into(),
@@ -301,17 +315,9 @@ fn main() {
         let golden = s.program.checksums.clone();
         s.kill(&mut cluster);
         let label = format!("{devices}gpu");
-        for (kind, path, pipelined) in [
-            ("sequential", &seq_path, false),
-            ("pipelined", &pipe_path, true),
-        ] {
-            let sums = resumed_checksums(
-                &mut cluster,
-                node,
-                path,
-                multi_gpu_vendor(devices as usize),
-                pipelined,
-            );
+        for (kind, path) in [("sequential", &seq_path), ("pipelined", &pipe_path)] {
+            let sums =
+                resumed_checksums(&mut cluster, node, path, multi_gpu_vendor(devices as usize));
             assert_eq!(sums, golden, "restart from {kind} file diverged ({label})");
             equivalence.push((label.clone(), kind, true));
         }

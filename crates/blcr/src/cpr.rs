@@ -3,7 +3,7 @@
 use crate::ckptfile::CheckpointFile;
 use osproc::{Cluster, DeviceMapping, FsError, NodeId, Pid};
 use simcore::codec::CodecError;
-use simcore::{telemetry, ByteSize};
+use simcore::{telemetry, ByteSize, SimTime};
 use std::fmt;
 
 /// CPR failures.
@@ -153,26 +153,7 @@ pub fn restart(cluster: &mut Cluster, node: NodeId, path: &str) -> Result<Pid, C
             return Err(CprError::Fs(e));
         }
     };
-    if telemetry::enabled() {
-        let t1 = cluster.process(pid).clock;
-        let size = ByteSize::bytes(bytes.len() as u64);
-        let dur = t1.since(t0).as_secs_f64();
-        let mb_per_s = if dur > 0.0 {
-            size.as_mib_f64() / dur
-        } else {
-            0.0
-        };
-        let _scope = telemetry::track_scope(telemetry::Track::process(pid.0 as u64));
-        telemetry::span_begin(
-            "blcr",
-            "blcr.read",
-            t0,
-            vec![("path", path.into()), ("bytes", size.as_u64().into())],
-        );
-        telemetry::span_end("blcr", "blcr.read", t1, vec![("mb_per_s", mb_per_s.into())]);
-        telemetry::counter_add("blcr.restarts", 1);
-        telemetry::counter_add("blcr.bytes_read", size.as_u64());
-    }
+    trace_restart_read(cluster, pid, path, t0, bytes.len());
     let file = match CheckpointFile::from_file_bytes(&bytes) {
         Ok(file) => file,
         Err(e) => {
@@ -184,10 +165,36 @@ pub fn restart(cluster: &mut Cluster, node: NodeId, path: &str) -> Result<Pid, C
     Ok(pid)
 }
 
+/// Record a restart's image read — `len` bytes of `path`, read by the
+/// freshly spawned `pid` since `t0` — as the `blcr.read` span plus the
+/// restart and byte counters.
+pub fn trace_restart_read(cluster: &Cluster, pid: Pid, path: &str, t0: SimTime, len: usize) {
+    if !telemetry::enabled() {
+        return;
+    }
+    let t1 = cluster.process(pid).clock;
+    let size = ByteSize::bytes(len as u64);
+    let dur = t1.since(t0).as_secs_f64();
+    let mb_per_s = if dur > 0.0 {
+        size.as_mib_f64() / dur
+    } else {
+        0.0
+    };
+    let _scope = telemetry::track_scope(telemetry::Track::process(pid.0 as u64));
+    telemetry::span_begin(
+        "blcr",
+        "blcr.read",
+        t0,
+        vec![("path", path.into()), ("bytes", size.as_u64().into())],
+    );
+    telemetry::span_end("blcr", "blcr.read", t1, vec![("mb_per_s", mb_per_s.into())]);
+    telemetry::counter_add("blcr.restarts", 1);
+    telemetry::counter_add("blcr.bytes_read", size.as_u64());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::SimTime;
 
     #[test]
     fn checkpoint_restart_roundtrips_image() {

@@ -1,28 +1,27 @@
-//! The legacy checkpoint/restart API (§III-C), kept as thin shims.
+//! The checkpoint/restart vocabulary (§III-C): phase reports, restore
+//! targets, the CPR error type, and object re-creation.
 //!
 //! Checkpoint = synchronize → preprocess (device→host copies) → write
 //! (BLCR dump) → postprocess (free the copies). Restart = BLCR restore
 //! → fork a new proxy → re-create OpenCL objects in dependency order →
 //! upload user data → mint dummy events.
 //!
-//! The four-phase machinery itself lives in [`crate::engine`]; every
-//! entry point here is a fixed point in the [`crate::engine::CprPolicy`]
-//! lattice (see the table in that module's docs). Object re-creation
-//! ([`restore_checl`]) stays here: it is the §III-C dependency-order
-//! replay, shared by every restore path and by proxy respawn.
+//! Both procedures are driven by [`crate::engine::snapshot`] and
+//! [`crate::engine::restore`]. Object re-creation ([`restore_checl`])
+//! lives here: it is the §III-C dependency-order replay, shared by
+//! [`crate::engine::restore`] and by proxy respawn.
 
-use crate::engine::{self, CprPolicy};
+use crate::engine;
 use crate::objects::{ObjectRecord, RecordedArg};
 use crate::runtime::{ChecLib, StructArgPolicy};
 use blcr::CprError;
-use cldriver::VendorConfig;
 use clspec::api::ApiRequest;
 use clspec::error::ClError;
 use clspec::handles::{
     CommandQueue, Context, DeviceId, HandleKind, Kernel, PlatformId, Program, RawHandle,
 };
 use clspec::types::{ArgValue, DeviceType, MemFlags};
-use osproc::{Cluster, FsError, FsKind, NodeId, Pid};
+use osproc::{Cluster, FsError, FsKind, Pid};
 use simcore::codec::CodecError;
 use simcore::{telemetry, ByteSize, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -270,73 +269,6 @@ pub(crate) fn storage_channel_name(cluster: &Cluster, pid: Pid, path: &str) -> &
         Some(FsKind::Nfs) => "nfs",
         _ => "disk.local",
     }
-}
-
-/// Checkpoint a CheCL application process (§III-C steps 1–4).
-///
-/// The caller is responsible for *when* this runs (immediately on
-/// signal, or delayed to the next sync point — [`CheckpointMode`]); the
-/// phases and their costs are the same either way, except that in
-/// delayed mode the queues are already drained so the sync phase is
-/// almost free. Equivalent to [`engine::snapshot`] with
-/// [`CprPolicy::sequential`].
-pub fn checkpoint_checl(
-    lib: &mut ChecLib,
-    cluster: &mut Cluster,
-    app_pid: Pid,
-    path: &str,
-) -> Result<CheckpointReport, CheclCprError> {
-    engine::snapshot(lib, cluster, app_pid, path, &CprPolicy::sequential()).map(|o| o.report)
-}
-
-/// Incremental checkpoint (the §IV-D future-work feature): buffers
-/// whose device data has not changed since their last save are *not*
-/// copied or re-written — their records keep a reference to the
-/// checkpoint file already holding their bytes. Preprocess and write
-/// phases shrink accordingly. Restart transparently resolves the
-/// references ([`restart_checl_process`]).
-pub fn checkpoint_checl_incremental(
-    lib: &mut ChecLib,
-    cluster: &mut Cluster,
-    app_pid: Pid,
-    path: &str,
-) -> Result<CheckpointReport, CheclCprError> {
-    let policy = CprPolicy::sequential().incremental(true);
-    engine::snapshot(lib, cluster, app_pid, path, &policy).map(|o| o.report)
-}
-
-/// Pipelined checkpoint: the same four phases as [`checkpoint_checl`],
-/// but the data path is overlapped. Device→host copies run on one PCIe
-/// channel per device while each completed buffer is streamed into a
-/// chunked checkpoint file ([`blcr::stream`]) on the storage channel —
-/// the copy of buffer *n+1* is in flight while buffer *n*'s chunk is
-/// being written, so the copy/write window costs `max` instead of `sum`
-/// ([`CheckpointReport::overlap_saved`] reports the difference). The
-/// commit protocol is unchanged: everything lands in `<path>.tmp` and
-/// one atomic rename publishes the file, so a fault during any streamed
-/// chunk leaves the previous generation at `path` intact, exactly like
-/// the sequential engine.
-pub fn checkpoint_checl_pipelined(
-    lib: &mut ChecLib,
-    cluster: &mut Cluster,
-    app_pid: Pid,
-    path: &str,
-) -> Result<CheckpointReport, CheclCprError> {
-    engine::snapshot(lib, cluster, app_pid, path, &CprPolicy::pipelined()).map(|o| o.report)
-}
-
-/// Pipelined + incremental checkpoint: clean buffers are neither copied
-/// nor streamed (their records keep the reference to the file already
-/// holding their bytes), and everything else follows the overlapped
-/// data path of [`checkpoint_checl_pipelined`].
-pub fn checkpoint_checl_pipelined_incremental(
-    lib: &mut ChecLib,
-    cluster: &mut Cluster,
-    app_pid: Pid,
-    path: &str,
-) -> Result<CheckpointReport, CheclCprError> {
-    let policy = CprPolicy::pipelined().incremental(true);
-    engine::snapshot(lib, cluster, app_pid, path, &policy).map(|o| o.report)
 }
 
 /// Re-create every OpenCL object recorded in the database, in the
@@ -730,38 +662,6 @@ fn restore_one(
                 .raw())
         }
     }
-}
-
-/// Full restart: BLCR-restore the application process from `path` on
-/// `node`, rebuild the CheCL shim from its dumped state, fork a new
-/// proxy with `vendor`, and re-create all OpenCL objects. Expects a
-/// sequential dump; [`engine::restore`] handles either format.
-pub fn restart_checl_process(
-    cluster: &mut Cluster,
-    node: NodeId,
-    path: &str,
-    vendor: VendorConfig,
-    target: RestoreTarget,
-) -> Result<(ChecLib, Pid, RestoreReport), CheclCprError> {
-    engine::restore_sequential(cluster, node, path, vendor, target)
-}
-
-/// Pipelined restart: the mirror of [`checkpoint_checl_pipelined`].
-///
-/// Accepts both on-disk formats — a sequential dump is delegated to
-/// [`restart_checl_process`] untouched. For a streamed checkpoint the
-/// header is read first and the objects are re-created from its state
-/// segment while the buffer chunks are still being read from storage;
-/// each chunk's host→device upload starts as soon as that chunk is in
-/// host memory, overlapping the remaining reads on the storage channel.
-pub fn restart_checl_pipelined(
-    cluster: &mut Cluster,
-    node: NodeId,
-    path: &str,
-    vendor: VendorConfig,
-    target: RestoreTarget,
-) -> Result<(ChecLib, Pid, RestoreReport), CheclCprError> {
-    engine::restore(cluster, node, path, vendor, target)
 }
 
 /// Load `saved_data` for every clean buffer whose bytes live in a

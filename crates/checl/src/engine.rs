@@ -1,31 +1,30 @@
-//! The unified checkpoint/restore engine (§III-C + §IV-C/D behind one
-//! policy).
+//! The checkpoint/restore engine (§III-C + §IV-C/D behind one policy).
 //!
-//! Every way this codebase knows how to snapshot a CheCL application —
-//! sequential or streamed on-disk format, full or incremental payloads,
-//! back-to-back or channel-overlapped data path, raw or
+//! There is one checkpoint call, [`snapshot`], and one restore call,
+//! [`restore`]. Every way this codebase knows how to snapshot a CheCL
+//! application — sequential or streamed on-disk format, full or
+//! incremental payloads, back-to-back or channel-overlapped data path,
+//! content-addressed dedup, live copy-on-write cuts, raw or
 //! verify/retry/fallback-wrapped commit — is one [`CprPolicy`] handed
 //! to [`snapshot`]. The four-phase structure (synchronize → preprocess
-//! → write → postprocess) and its telemetry live here exactly once;
-//! the legacy entry points in [`crate::cpr`] and [`crate::recovery`]
-//! are thin shims over this module, as is process migration
-//! ([`crate::migrate`]) and the MPI-rank plumbing in `mpisim`.
+//! → write → postprocess) and its telemetry live here exactly once.
+//! Process migration ([`crate::migrate`]), the session and supervisor
+//! drivers in `workloads`, and the MPI-rank plumbing in `mpisim` all
+//! call these two functions.
 //!
-//! The policy lattice maps onto the legacy API like this:
+//! | checkpoint                     | policy                                      |
+//! |--------------------------------|---------------------------------------------|
+//! | classic §III-C                 | `CprPolicy::sequential()`                   |
+//! | incremental (§IV-D)            | `CprPolicy::sequential().incremental(true)` |
+//! | overlapped copy/write          | `CprPolicy::pipelined()`                    |
+//! | content-addressed dedup        | `CprPolicy::pipelined().dedup(true)`        |
+//! | live copy-on-write             | `CprPolicy::pipelined().live(true)`         |
+//! | verify/retry/fallback commit   | `….with_recovery(RecoveryPolicy { … })`     |
 //!
-//! | legacy entry point                       | policy                                    |
-//! |------------------------------------------|-------------------------------------------|
-//! | `checkpoint_checl`                       | `CprPolicy::sequential()`                  |
-//! | `checkpoint_checl_incremental`           | `CprPolicy::sequential().incremental(true)`|
-//! | `checkpoint_checl_pipelined`             | `CprPolicy::pipelined()`                   |
-//! | `checkpoint_checl_pipelined_incremental` | `CprPolicy::pipelined().incremental(true)` |
-//! | `checkpoint_with_recovery`               | `CprPolicy::sequential().with_recovery(…)` |
-//! | `restart_checl_process`                  | [`restore`] (sequential dump)              |
-//! | `restart_checl_pipelined`                | [`restore`] (either dump format)           |
-//!
-//! [`restore`] sniffs the on-disk format ([`blcr::sniff_dump`]) and
-//! rebuilds the process with the matching data path, so a restore
-//! site never needs to know which policy produced the file.
+//! [`restore`] reads the file once and sniffs its format
+//! ([`blcr::sniff_dump`]), then rebuilds the process with the matching
+//! data path, so a restore site never needs to know which policy
+//! produced the file.
 
 use crate::boot::{kill_proxy, refork_proxy};
 use crate::cpr::{
@@ -44,8 +43,8 @@ use clspec::api::ApiRequest;
 use clspec::error::ClError;
 use clspec::handles::{CommandQueue, Event, HandleKind, Mem, RawHandle};
 use osproc::{Cluster, FsError, FsKind, NodeId, Pid};
-use simcore::channels::ChannelSet;
-use simcore::{calib, obs, telemetry, ByteSize, SimDuration, SimTime};
+use simcore::channels::{ChannelId, ChannelSet};
+use simcore::{calib, obs, telemetry, Bandwidth, ByteSize, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Telemetry `tid` base for per-channel swimlanes (well above any real
@@ -75,18 +74,6 @@ pub(crate) fn pcie_channel(
         Some(name) => channels.channel(name),
         None => channels.channel(&format!("pcie.dev{dev_index}")),
     }
-}
-
-/// On-disk layout of a snapshot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SnapshotFormat {
-    /// One framed [`blcr::CheckpointFile`]; buffer payloads ride inside
-    /// the dumped state segment.
-    #[default]
-    Sequential,
-    /// The chunked `BLCS` stream ([`blcr::stream`]): header image +
-    /// per-buffer chunk frames + sealing trailer.
-    Streamed,
 }
 
 /// Commit hardening for a snapshot: each attempt writes `<target>.tmp`,
@@ -120,9 +107,6 @@ pub enum IntervalPolicy {
 /// Everything that can vary about taking a snapshot, in one value.
 #[derive(Clone, Debug, Default)]
 pub struct CprPolicy {
-    /// On-disk format. [`SnapshotFormat::Streamed`] is implied by
-    /// `pipelined` (the overlapped data path writes chunk streams).
-    pub format: SnapshotFormat,
     /// Skip clean buffers whose bytes already live in an earlier file.
     pub incremental: bool,
     /// Overlap D2H copies with chunk writes on per-resource channels.
@@ -145,11 +129,11 @@ pub struct CprPolicy {
     /// chunk store is mutable while the drain is in flight).
     pub live: bool,
     /// Verify/retry/fallback commit hardening; `None` means one raw
-    /// attempt at the primary path (legacy semantics).
+    /// attempt at the primary path.
     pub recovery: Option<RecoveryPolicy>,
     /// When the snapshot runs relative to the triggering signal.
     /// Advisory: enacted by signal-driven callers (e.g.
-    /// `CheclSession::run_with_cpr`), not by [`snapshot`] itself.
+    /// `CheclSession::run_with_cpr_policy`), not by [`snapshot`] itself.
     pub trigger: CheckpointMode,
     /// Checkpoint cadence for supervision loops. Advisory: enacted by
     /// `checl::supervisor`, not by [`snapshot`] itself.
@@ -167,7 +151,6 @@ impl CprPolicy {
     /// pipelined across resource channels.
     pub fn pipelined() -> CprPolicy {
         CprPolicy {
-            format: SnapshotFormat::Streamed,
             pipelined: true,
             ..CprPolicy::default()
         }
@@ -211,11 +194,11 @@ impl CprPolicy {
         self
     }
 
-    /// Whether this policy writes the streamed (`BLCS`) format — true
-    /// for an explicit [`SnapshotFormat::Streamed`] and always for the
-    /// pipelined data path.
+    /// Whether this policy writes the streamed (`BLCS`) format rather
+    /// than one sequential BLCR image: the overlapped, dedup and live
+    /// data paths all write chunk streams.
     pub fn streamed(&self) -> bool {
-        self.pipelined || self.dedup || self.live || self.format == SnapshotFormat::Streamed
+        self.pipelined || self.dedup || self.live
     }
 
     /// Stable human-readable name of this lattice point, recorded in
@@ -1846,10 +1829,11 @@ fn emit_channel_utilization(channels: &ChannelSet, now: SimTime) {
 }
 
 /// Restore a CheCL application from `path` on `node`, whatever policy
-/// wrote the file: the format is sniffed once ([`blcr::sniff_dump`])
-/// and the matching data path rebuilds the process — the classic
-/// sequential restart, or the overlapped chunk-read/upload pipeline for
-/// a streamed dump.
+/// wrote the file — the one restart procedure of §III-C. A fresh
+/// process reads the file once, the format is sniffed
+/// ([`blcr::sniff_dump`]), and the matching data path rebuilds the
+/// process: the classic sequential restart, or the overlapped
+/// chunk-read/upload pipeline for a streamed dump.
 pub fn restore(
     cluster: &mut Cluster,
     node: NodeId,
@@ -1866,13 +1850,17 @@ pub fn restore(
             return Err(CheclCprError::Cpr(CprError::Fs(e)));
         }
     };
-    let parsed = match blcr::sniff_dump(&bytes) {
+    // Anything but a stream is one BLCR image, read exactly as a plain
+    // BLCR restart reads it.
+    if !blcr::is_stream_file(&bytes) {
+        blcr::trace_restart_read(cluster, pid, path, t0, bytes.len());
+    }
+    let mut parsed = match blcr::sniff_dump(&bytes) {
         Ok(SniffedDump::Streamed(parsed)) => *parsed,
-        Ok(SniffedDump::Sequential(_)) => {
-            // Sequential dump: the classic restart handles it (and
-            // re-charges the file read to the process it spawns).
-            cluster.kill(pid);
-            return restore_sequential(cluster, node, path, vendor, target);
+        Ok(SniffedDump::Sequential(file)) => {
+            drop(bytes);
+            cluster.process_mut(pid).image = file.image;
+            return restore_sequential(cluster, pid, t0, path, vendor, target);
         }
         Err(e) => {
             cluster.kill(pid);
@@ -1880,18 +1868,6 @@ pub fn restore(
         }
     };
     drop(bytes);
-    let blcr::ParsedStream {
-        header,
-        chunks,
-        chunk_bytes,
-        maps,
-        map_bytes,
-        slices,
-        slice_bytes,
-        tail_bytes,
-        header_bytes,
-        ..
-    } = parsed;
 
     let _scope = telemetry::track_scope(telemetry::Track::process(pid.0 as u64));
     obs::emit(
@@ -1924,35 +1900,28 @@ pub fn restore(
     let hdr = channels.place(
         disk,
         t0,
-        read_link.cost(ByteSize::bytes(header_bytes)),
+        read_link.cost(ByteSize::bytes(parsed.header_bytes)),
         "stream.header",
     );
+    let scan = StreamScan {
+        disk,
+        ipc,
+        after_header: hdr.end,
+        bandwidth: read_link.bandwidth,
+    };
     cluster.process_mut(pid).clock = hdr.end;
-    cluster.process_mut(pid).image = header.image;
-
-    let state = match cluster.process(pid).image.get(CHECL_STATE_SEGMENT) {
-        Some(bytes) => bytes.to_vec(),
-        None => {
-            cluster.kill(pid);
-            return Err(CheclCprError::MissingState);
-        }
-    };
-    let mut lib = match ChecLib::decode_state(&state) {
-        Ok(lib) => lib,
-        Err(e) => {
-            cluster.kill(pid);
-            return Err(CheclCprError::BadState(e));
-        }
-    };
+    cluster.process_mut(pid).image = std::mem::take(&mut parsed.header.image);
+    let mut lib = decode_restored_shim(cluster, pid)?;
     // A commit-hardened dump was written to `<target>.tmp` and
     // published by one rename, so its encoded state may still carry the
     // temp name; whatever the state says, a buffer with a chunk in this
     // file lives *here*.
-    for handle in chunks
+    for handle in parsed
+        .chunks
         .iter()
         .map(|c| c.handle)
-        .chain(maps.iter().map(|m| m.handle))
-        .chain(slices.iter().map(|s| s.handle))
+        .chain(parsed.maps.iter().map(|m| m.handle))
+        .chain(parsed.slices.iter().map(|s| s.handle))
     {
         if let Some(entry) = lib.db.get_mut(handle) {
             if let ObjectRecord::Mem { saved_in, .. } = &mut entry.record {
@@ -1982,290 +1951,18 @@ pub fn restore(
             return Err(e);
         }
     };
-
-    // Overlapped data path: chunk reads serialize on the storage
-    // channel (they follow the header in file order), while each
-    // chunk's upload starts once the chunk is in host memory, the
-    // objects exist (`now`), and its device's PCIe link is free.
-    let mut upload_end = now;
-    for (i, chunk) in chunks.into_iter().enumerate() {
-        let rd = channels.place(
-            disk,
-            hdr.end,
-            read_link
-                .bandwidth
-                .transfer_time(ByteSize::bytes(chunk_bytes[i])),
-            "stream.chunk",
-        );
-        let context = match lib.db.get(chunk.handle).map(|e| &e.record) {
-            Some(ObjectRecord::Mem { context, .. }) => *context,
-            _ => {
-                let err = CheclCprError::MissingState;
+    let tail_bytes = parsed.tail_bytes;
+    let upload_end =
+        match upload_stream_payloads(cluster, &mut lib, pid, &mut channels, &scan, now, parsed) {
+            Ok(end) => end,
+            Err(err) => {
                 restart_cleanup(cluster, &mut lib, pid, now, &err);
                 return Err(err);
             }
         };
-        let vendor_mem = match lib.db.vendor_of(chunk.handle) {
-            Some(v) => v,
-            None => {
-                let err = CheclCprError::MissingState;
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            }
-        };
-        let Some((q_vendor, dev_index)) = queue_and_device_in_context(&lib, context) else {
-            let err = CheclCprError::Cl(ClError::InvalidContext);
-            restart_cleanup(cluster, &mut lib, pid, now, &err);
-            return Err(err);
-        };
-        let pcie = pcie_channel(&mut channels, dev_index);
-        let ready = channels.free_at(pcie).max(rd.end).max(now);
-        let mut t = ready;
-        let upload = lib
-            .forward(
-                &mut t,
-                ApiRequest::EnqueueWriteBuffer {
-                    queue: CommandQueue::from_raw(q_vendor),
-                    mem: Mem::from_raw(vendor_mem),
-                    blocking: true,
-                    offset: 0,
-                    data: chunk.data,
-                    wait_list: vec![],
-                },
-            )
-            .and_then(|resp| resp.into_event());
-        let ev = match upload {
-            Ok(ev) => ev,
-            Err(e) => {
-                let err = CheclCprError::Cl(e);
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            }
-        };
-        let up = channels.place(pcie, ready, t.since(ready), "h2d");
-        let mut t2 = up.end;
-        if let Err(e) = lib.forward(&mut t2, ApiRequest::ReleaseEvent { event: ev }) {
-            let err = CheclCprError::Cl(e);
-            restart_cleanup(cluster, &mut lib, pid, now, &err);
-            return Err(err);
-        }
-        let rel = channels.place(ipc, up.end, t2.since(up.end), "release");
-        upload_end = upload_end.max(rel.end);
-    }
-
-    // Dedup'd buffers: read each referenced chunk store once (serialized
-    // on the storage channel), decompress it on the CPU channel, then
-    // reassemble and upload every mapped buffer as above.
-    if !maps.is_empty() {
-        let compress = channels.channel("cpu.compress");
-        let mut stores: BTreeMap<String, BTreeMap<u64, Vec<u8>>> = BTreeMap::new();
-        let mut store_ready: BTreeMap<String, SimTime> = BTreeMap::new();
-        for map in &maps {
-            if stores.contains_key(&map.store) {
-                continue;
-            }
-            let lready = channels.free_at(disk).max(hdr.end);
-            cluster.process_mut(pid).clock = lready;
-            let loaded = match ChunkStore::load_all(cluster, pid, &map.store) {
-                Ok(chunks) => chunks,
-                Err(e) => {
-                    let err = CheclCprError::Cpr(e);
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let lend = cluster.process(pid).clock;
-            let load = channels.place(disk, lready, lend.since(lready), "store.load");
-            // Decompression of the referenced bytes overlaps the other
-            // channels, mirroring the dump-side compression cost.
-            let raw: u64 = maps
-                .iter()
-                .filter(|m| m.store == map.store)
-                .map(|m| m.total_len)
-                .sum();
-            let dready = channels.free_at(compress).max(load.end);
-            let dp = channels.place(
-                compress,
-                dready,
-                calib::compress_bandwidth().transfer_time(ByteSize::bytes(raw)),
-                "chunk.decompress",
-            );
-            store_ready.insert(map.store.clone(), dp.end);
-            stores.insert(map.store.clone(), loaded);
-        }
-        for (i, map) in maps.iter().enumerate() {
-            let rd = channels.place(
-                disk,
-                hdr.end,
-                read_link
-                    .bandwidth
-                    .transfer_time(ByteSize::bytes(map_bytes[i])),
-                "stream.map",
-            );
-            let data = match assemble_from_store(&stores, map) {
-                Ok(data) => data,
-                Err(err) => {
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let context = match lib.db.get(map.handle).map(|e| &e.record) {
-                Some(ObjectRecord::Mem { context, .. }) => *context,
-                _ => {
-                    let err = CheclCprError::MissingState;
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let vendor_mem = match lib.db.vendor_of(map.handle) {
-                Some(v) => v,
-                None => {
-                    let err = CheclCprError::MissingState;
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let Some((q_vendor, dev_index)) = queue_and_device_in_context(&lib, context) else {
-                let err = CheclCprError::Cl(ClError::InvalidContext);
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            };
-            let pcie = pcie_channel(&mut channels, dev_index);
-            let ready = channels
-                .free_at(pcie)
-                .max(rd.end)
-                .max(store_ready[&map.store])
-                .max(now);
-            let mut t = ready;
-            let upload = lib
-                .forward(
-                    &mut t,
-                    ApiRequest::EnqueueWriteBuffer {
-                        queue: CommandQueue::from_raw(q_vendor),
-                        mem: Mem::from_raw(vendor_mem),
-                        blocking: true,
-                        offset: 0,
-                        data,
-                        wait_list: vec![],
-                    },
-                )
-                .and_then(|resp| resp.into_event());
-            let ev = match upload {
-                Ok(ev) => ev,
-                Err(e) => {
-                    let err = CheclCprError::Cl(e);
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let up = channels.place(pcie, ready, t.since(ready), "h2d");
-            let mut t2 = up.end;
-            if let Err(e) = lib.forward(&mut t2, ApiRequest::ReleaseEvent { event: ev }) {
-                let err = CheclCprError::Cl(e);
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            }
-            let rel = channels.place(ipc, up.end, t2.since(up.end), "release");
-            upload_end = upload_end.max(rel.end);
-        }
-    }
-    // Live-drained buffers arrive as out-of-order slice frames: the
-    // slice reads serialize on the storage channel in file order, and
-    // each buffer uploads once its last slice is in host memory. A
-    // committed live dump's slices exactly tile each buffer — anything
-    // else is corruption.
-    if !slices.is_empty() {
-        type SliceGroup = (Vec<(u64, Vec<u8>)>, SimTime);
-        let mut groups: BTreeMap<u64, SliceGroup> = BTreeMap::new();
-        for (i, slice) in slices.into_iter().enumerate() {
-            let rd = channels.place(
-                disk,
-                hdr.end,
-                read_link
-                    .bandwidth
-                    .transfer_time(ByteSize::bytes(slice_bytes[i])),
-                "stream.slice",
-            );
-            let g = groups.entry(slice.handle).or_insert((Vec::new(), hdr.end));
-            g.0.push((slice.offset, slice.data));
-            g.1 = g.1.max(rd.end);
-        }
-        for (handle, (mut parts, read_end)) in groups {
-            let (context, size) = match lib.db.get(handle).map(|e| &e.record) {
-                Some(ObjectRecord::Mem { context, size, .. }) => (*context, *size),
-                _ => {
-                    let err = CheclCprError::MissingState;
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            parts.sort_by_key(|p| p.0);
-            let data = match assemble_from_slices(size, parts) {
-                Ok(data) => data,
-                Err(err) => {
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let vendor_mem = match lib.db.vendor_of(handle) {
-                Some(v) => v,
-                None => {
-                    let err = CheclCprError::MissingState;
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let Some((q_vendor, dev_index)) = queue_and_device_in_context(&lib, context) else {
-                let err = CheclCprError::Cl(ClError::InvalidContext);
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            };
-            let pcie = pcie_channel(&mut channels, dev_index);
-            let ready = channels.free_at(pcie).max(read_end).max(now);
-            let mut t = ready;
-            let upload = lib
-                .forward(
-                    &mut t,
-                    ApiRequest::EnqueueWriteBuffer {
-                        queue: CommandQueue::from_raw(q_vendor),
-                        mem: Mem::from_raw(vendor_mem),
-                        blocking: true,
-                        offset: 0,
-                        data,
-                        wait_list: vec![],
-                    },
-                )
-                .and_then(|resp| resp.into_event());
-            let ev = match upload {
-                Ok(ev) => ev,
-                Err(e) => {
-                    let err = CheclCprError::Cl(e);
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let up = channels.place(pcie, ready, t.since(ready), "h2d");
-            let mut t2 = up.end;
-            if let Err(e) = lib.forward(&mut t2, ApiRequest::ReleaseEvent { event: ev }) {
-                let err = CheclCprError::Cl(e);
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            }
-            let rel = channels.place(ipc, up.end, t2.since(up.end), "release");
-            upload_end = upload_end.max(rel.end);
-        }
-    }
-
     // The trailer + baseline padding finish the file scan.
-    let tail = channels.place(
-        disk,
-        hdr.end,
-        read_link
-            .bandwidth
-            .transfer_time(ByteSize::bytes(tail_bytes)),
-        "stream.tail",
-    );
-    let end = upload_end.max(tail.end).max(now);
+    let tail = scan.read(&mut channels, tail_bytes, "stream.tail");
+    let end = upload_end.max(tail).max(now);
     // The streamed-data window past the object restore counts toward
     // the Mem row of the Fig. 7 breakdown.
     let stream_wall = end.since(now);
@@ -2299,42 +1996,182 @@ pub fn restore(
     Ok((lib, pid, report))
 }
 
-/// The classic sequential restart: BLCR-restore the application process
-/// from `path` on `node`, rebuild the CheCL shim from its dumped state,
-/// fork a new proxy with `vendor`, and re-create all OpenCL objects.
-pub(crate) fn restore_sequential(
+/// The storage side of a streamed restore's file scan: payload frames
+/// follow the header (read by `after_header`) on the `disk` channel.
+struct StreamScan {
+    disk: ChannelId,
+    ipc: ChannelId,
+    after_header: SimTime,
+    bandwidth: Bandwidth,
+}
+
+impl StreamScan {
+    /// Place the read of one `bytes`-long frame; returns when it lands
+    /// in host memory.
+    fn read(&self, channels: &mut ChannelSet, bytes: u64, label: &str) -> SimTime {
+        let cost = self.bandwidth.transfer_time(ByteSize::bytes(bytes));
+        channels
+            .place(self.disk, self.after_header, cost, label)
+            .end
+    }
+}
+
+/// The overlapped data path of a streamed restore. Frame reads
+/// serialize on the storage channel in file order, while each buffer's
+/// upload starts once its bytes are in host memory, the objects exist
+/// (`now`), and its device's PCIe link is free. Inline chunks upload as
+/// read; dedup'd buffers wait for their chunk store to load and
+/// decompress (each store once, on the CPU channel); live-drained
+/// buffers upload once their last slice lands — a committed live
+/// dump's slices exactly tile each buffer, anything else is corruption.
+/// Returns when the last upload's event release lands.
+fn upload_stream_payloads(
     cluster: &mut Cluster,
-    node: NodeId,
+    lib: &mut ChecLib,
+    pid: Pid,
+    channels: &mut ChannelSet,
+    scan: &StreamScan,
+    now: SimTime,
+    parsed: blcr::ParsedStream,
+) -> Result<SimTime, CheclCprError> {
+    let mut upload_end = now;
+    for (chunk, bytes) in parsed.chunks.into_iter().zip(parsed.chunk_bytes) {
+        let read = scan.read(channels, bytes, "stream.chunk");
+        let end = upload_restored(lib, channels, scan, chunk.handle, chunk.data, read.max(now))?;
+        upload_end = upload_end.max(end);
+    }
+
+    if !parsed.maps.is_empty() {
+        let compress = channels.channel("cpu.compress");
+        let mut stores: BTreeMap<String, BTreeMap<u64, Vec<u8>>> = BTreeMap::new();
+        let mut store_ready: BTreeMap<String, SimTime> = BTreeMap::new();
+        for map in &parsed.maps {
+            if stores.contains_key(&map.store) {
+                continue;
+            }
+            let lready = channels.free_at(scan.disk).max(scan.after_header);
+            cluster.process_mut(pid).clock = lready;
+            let loaded = ChunkStore::load_all(cluster, pid, &map.store)?;
+            let lend = cluster.process(pid).clock;
+            let load = channels.place(scan.disk, lready, lend.since(lready), "store.load");
+            // Decompression of the referenced bytes overlaps the other
+            // channels, mirroring the dump-side compression cost.
+            let raw: u64 = parsed
+                .maps
+                .iter()
+                .filter(|m| m.store == map.store)
+                .map(|m| m.total_len)
+                .sum();
+            let dready = channels.free_at(compress).max(load.end);
+            let dp = channels.place(
+                compress,
+                dready,
+                calib::compress_bandwidth().transfer_time(ByteSize::bytes(raw)),
+                "chunk.decompress",
+            );
+            store_ready.insert(map.store.clone(), dp.end);
+            stores.insert(map.store.clone(), loaded);
+        }
+        for (map, bytes) in parsed.maps.iter().zip(parsed.map_bytes) {
+            let read = scan.read(channels, bytes, "stream.map");
+            let data = assemble_from_store(&stores, map)?;
+            let ready = read.max(store_ready[&map.store]).max(now);
+            let end = upload_restored(lib, channels, scan, map.handle, data, ready)?;
+            upload_end = upload_end.max(end);
+        }
+    }
+
+    if !parsed.slices.is_empty() {
+        type SliceGroup = (Vec<(u64, Vec<u8>)>, SimTime);
+        let mut groups: BTreeMap<u64, SliceGroup> = BTreeMap::new();
+        for (slice, bytes) in parsed.slices.into_iter().zip(parsed.slice_bytes) {
+            let read = scan.read(channels, bytes, "stream.slice");
+            let g = groups
+                .entry(slice.handle)
+                .or_insert((Vec::new(), scan.after_header));
+            g.0.push((slice.offset, slice.data));
+            g.1 = g.1.max(read);
+        }
+        for (handle, (parts, read_end)) in groups {
+            let size = match lib.db.get(handle).map(|e| &e.record) {
+                Some(ObjectRecord::Mem { size, .. }) => *size,
+                _ => return Err(CheclCprError::MissingState),
+            };
+            let data = assemble_from_slices(size, parts)?;
+            let end = upload_restored(lib, channels, scan, handle, data, read_end.max(now))?;
+            upload_end = upload_end.max(end);
+        }
+    }
+    Ok(upload_end)
+}
+
+/// Upload one restored buffer's payload over its device's PCIe channel
+/// once `ready` and the link is free, then release the write's event
+/// over IPC. Returns when the release lands.
+fn upload_restored(
+    lib: &mut ChecLib,
+    channels: &mut ChannelSet,
+    scan: &StreamScan,
+    handle: u64,
+    data: Vec<u8>,
+    ready: SimTime,
+) -> Result<SimTime, CheclCprError> {
+    let context = match lib.db.get(handle).map(|e| &e.record) {
+        Some(ObjectRecord::Mem { context, .. }) => *context,
+        _ => return Err(CheclCprError::MissingState),
+    };
+    let vendor_mem = lib
+        .db
+        .vendor_of(handle)
+        .ok_or(CheclCprError::MissingState)?;
+    let (q_vendor, dev_index) = queue_and_device_in_context(lib, context)
+        .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
+    let pcie = pcie_channel(channels, dev_index);
+    let ready = channels.free_at(pcie).max(ready);
+    let mut t = ready;
+    let ev = lib
+        .forward(
+            &mut t,
+            ApiRequest::EnqueueWriteBuffer {
+                queue: CommandQueue::from_raw(q_vendor),
+                mem: Mem::from_raw(vendor_mem),
+                blocking: true,
+                offset: 0,
+                data,
+                wait_list: vec![],
+            },
+        )?
+        .into_event()?;
+    let up = channels.place(pcie, ready, t.since(ready), "h2d");
+    let mut t2 = up.end;
+    lib.forward(&mut t2, ApiRequest::ReleaseEvent { event: ev })?;
+    Ok(channels
+        .place(scan.ipc, up.end, t2.since(up.end), "release")
+        .end)
+}
+
+/// The sequential tail of [`restore`]: `pid` already holds the dumped
+/// image (its clock charged with the file read since `t0`). Rebuild the
+/// CheCL shim from its dumped state, fork a new proxy with `vendor`, and
+/// re-create all OpenCL objects.
+fn restore_sequential(
+    cluster: &mut Cluster,
+    pid: Pid,
+    t0: SimTime,
     path: &str,
     vendor: VendorConfig,
     target: RestoreTarget,
 ) -> Result<(ChecLib, Pid, RestoreReport), CheclCprError> {
-    let pid = blcr::restart(cluster, node, path)?;
     let _scope = telemetry::track_scope(telemetry::Track::process(pid.0 as u64));
-    // The restored process's timeline starts at zero; the restart call
-    // above already charged the file read and fork.
     obs::emit(
         "engine",
-        SimTime::ZERO,
+        t0,
         obs::EventKind::RestoreStarted {
             path: path.to_string(),
             format: "sequential".to_string(),
         },
     );
-    let state = match cluster.process(pid).image.get(CHECL_STATE_SEGMENT) {
-        Some(bytes) => bytes.to_vec(),
-        None => {
-            cluster.kill(pid);
-            return Err(CheclCprError::MissingState);
-        }
-    };
-    let mut lib = match ChecLib::decode_state(&state) {
-        Ok(lib) => lib,
-        Err(e) => {
-            cluster.kill(pid);
-            return Err(CheclCprError::BadState(e));
-        }
-    };
+    let mut lib = decode_restored_shim(cluster, pid)?;
     if let Err(e) = resolve_incremental_data(cluster, pid, &mut lib, path) {
         cluster.kill(pid);
         return Err(e);
@@ -2373,10 +2210,23 @@ pub(crate) fn restore_sequential(
         obs::EventKind::RestoreCompleted {
             path: path.to_string(),
             objects: report.counts.values().map(|&n| n as u64).sum(),
-            cost_ns: now.since(SimTime::ZERO).as_nanos(),
+            cost_ns: now.since(t0).as_nanos(),
         },
     );
     Ok((lib, pid, report))
+}
+
+/// Decode the CheCL shim from the state segment of `pid`'s restored
+/// image; a missing or corrupt segment reaps the process.
+fn decode_restored_shim(cluster: &mut Cluster, pid: Pid) -> Result<ChecLib, CheclCprError> {
+    let decoded = match cluster.process(pid).image.get(CHECL_STATE_SEGMENT) {
+        Some(state) => ChecLib::decode_state(state).map_err(CheclCprError::BadState),
+        None => Err(CheclCprError::MissingState),
+    };
+    if decoded.is_err() {
+        cluster.kill(pid);
+    }
+    decoded
 }
 
 /// Close the restart span and tear down the half-restored process and

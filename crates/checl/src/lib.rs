@@ -14,11 +14,13 @@
 //!   everything needed to re-create the object: creation arguments,
 //!   program sources and build options, kernel argument history, buffer
 //!   contents captured at checkpoint time.
-//! * **Checkpoint/restart engine** ([`engine`], legacy API in [`cpr`])
+//! * **Checkpoint/restart engine** ([`engine`], vocabulary in [`cpr`])
 //!   — synchronize, copy device data to host memory, dump via BLCR,
 //!   restore objects in dependency order, substitute dummy events from
-//!   `clEnqueueMarker`. Every variation (format, incremental,
-//!   pipelining, commit hardening) is a [`CprPolicy`] field.
+//!   `clEnqueueMarker`. One checkpoint call, [`snapshot`], and one
+//!   restore call, [`restore`]; every variation (incremental,
+//!   pipelining, dedup, live, commit hardening) is a [`CprPolicy`]
+//!   field.
 //! * **Migration** ([`migrate`]) — restart on another node, another
 //!   vendor, or another device type (GPU↔CPU), plus the
 //!   `Tm = αM + Tr + β` cost model of §IV-C.
@@ -58,18 +60,16 @@ pub mod supervisor;
 
 pub use boot::{boot_checl, BootedChecl};
 pub use cpr::{
-    checkpoint_checl, checkpoint_checl_incremental, checkpoint_checl_pipelined,
-    checkpoint_checl_pipelined_incremental, restart_checl_pipelined, restart_checl_process,
     restore_checl, CheckpointMode, CheckpointReport, CheclCprError, DedupStats, RestoreReport,
     RestoreTarget,
 };
 pub use engine::{
     abort_live_drain, complete_live_drain, invalidate_saves, restore, snapshot, CprPolicy,
-    IntervalPolicy, LiveDrainOutcome, RecoveryPolicy, SnapshotFormat, SnapshotOutcome,
+    IntervalPolicy, LiveDrainOutcome, RecoveryPolicy, SnapshotOutcome,
 };
 pub use migrate::{migrate_process, predict_migration_time, MigrationModel, MigrationReport};
 pub use objects::{CheclDb, CheclEntry, ObjectRecord, RecordedArg};
-pub use recovery::{checkpoint_with_recovery, respawn_proxy_and_restore, restart_checl_chain};
+pub use recovery::{respawn_proxy_and_restore, restart_checl_chain};
 pub use runtime::{ChecLib, CheclConfig, CheclStats, StructArgPolicy};
 pub use supervisor::{
     IntervalController, Supervisor, SupervisorConfig, SupervisorError, SupervisorReport,

@@ -6,11 +6,8 @@
 //! node, a different vendor, or a different device type — and continue
 //! producing bit-identical results.
 
-use checl::cpr::restart_checl_process;
 use checl::runtime::ChecLib;
-use checl::{
-    boot_checl, checkpoint_checl, restore_checl, CheclConfig, RestoreTarget, StructArgPolicy,
-};
+use checl::{boot_checl, restore_checl, CheclConfig, CprPolicy, RestoreTarget, StructArgPolicy};
 use cldriver::vendor::{crimson, nimbus};
 use clspec::api::ClApi;
 use clspec::error::ClError;
@@ -111,7 +108,15 @@ fn checkpoint_restart_preserves_results_bit_exactly() {
     cluster.process_mut(app_pid).clock = now;
 
     // Checkpoint to the shared NFS mount.
-    let report = checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/nfs/app.ckpt").unwrap();
+    let report = checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/nfs/app.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap()
+    .report;
     assert!(report.file_size.as_u64() > 0);
 
     // Crash the node: app and proxy die, all vendor objects vanish.
@@ -121,7 +126,7 @@ fn checkpoint_restart_preserves_results_bit_exactly() {
     drop(booted);
 
     // Restart on the *other* node (same vendor available there).
-    let (mut lib2, pid2, restore_report) = restart_checl_process(
+    let (mut lib2, pid2, restore_report) = checl::restore(
         &mut cluster,
         nodes[1],
         "/nfs/app.ckpt",
@@ -162,11 +167,18 @@ fn vendor_handles_change_but_checl_handles_do_not() {
 
     let vendor_before = booted.lib.db.vendor_of(app.ctx.raw().0).unwrap();
 
-    checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/local/x.ckpt").unwrap();
+    checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/x.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
 
-    let (lib2, _pid2, _) = restart_checl_process(
+    let (lib2, _pid2, _) = checl::restore(
         &mut cluster,
         node,
         "/local/x.ckpt",
@@ -286,7 +298,15 @@ fn checkpoint_phase_breakdown_is_sane() {
     let _ = run_kernel_and_read(&mut booted.lib, &mut now, &app);
     cluster.process_mut(app_pid).clock = now;
 
-    let r = checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/local/big.ckpt").unwrap();
+    let r = checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/big.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap()
+    .report;
     // Write phase dominates (Fig. 5's headline observation).
     assert!(
         r.write > r.preprocess,
@@ -327,8 +347,15 @@ fn delayed_mode_is_cheaper_when_kernel_in_flight() {
     }
     let _ = ocl;
     cluster.process_mut(app_pid).clock = now;
-    let immediate =
-        checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/ram/i.ckpt").unwrap();
+    let immediate = checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/ram/i.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap()
+    .report;
 
     // Delayed: same, but the app reaches its natural clFinish first.
     let (mut cluster, app_pid, mut booted) = build();
@@ -342,7 +369,15 @@ fn delayed_mode_is_cheaper_when_kernel_in_flight() {
     ocl.finish(app.queue).unwrap(); // the app's own sync point
     let _ = ocl;
     cluster.process_mut(app_pid).clock = now;
-    let delayed = checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/ram/d.ckpt").unwrap();
+    let delayed = checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/ram/d.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap()
+    .report;
 
     assert!(
         immediate.sync > delayed.sync * 10,
@@ -363,10 +398,17 @@ fn restore_breakdown_charges_programs_and_mem() {
     let _ = run_kernel_and_read(&mut booted.lib, &mut now, &app);
     cluster.process_mut(app_pid).clock = now;
 
-    checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/local/r.ckpt").unwrap();
+    checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/r.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
-    let (_lib2, _pid2, report) = restart_checl_process(
+    let (_lib2, _pid2, report) = checl::restore(
         &mut cluster,
         node,
         "/local/r.ckpt",
@@ -404,10 +446,17 @@ fn dummy_events_substitute_for_old_events() {
     let _ = ocl;
     cluster.process_mut(app_pid).clock = now;
 
-    checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/ram/e.ckpt").unwrap();
+    checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/ram/e.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
-    let (mut lib2, pid2, _) = restart_checl_process(
+    let (mut lib2, pid2, _) = checl::restore(
         &mut cluster,
         node,
         "/ram/e.ckpt",
@@ -520,12 +569,19 @@ fn binary_program_restore_fails_cross_vendor() {
     let _ = ocl;
     cluster.process_mut(app_pid).clock = now;
 
-    checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/nfs/bin.ckpt").unwrap();
+    checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/nfs/bin.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
 
     // Restoring on a Crimson node rejects the Nimbus binary.
-    match restart_checl_process(
+    match checl::restore(
         &mut cluster,
         nodes[1],
         "/nfs/bin.ckpt",
@@ -538,7 +594,7 @@ fn binary_program_restore_fails_cross_vendor() {
     }
 
     // Same vendor works.
-    restart_checl_process(
+    checl::restore(
         &mut cluster,
         nodes[1],
         "/nfs/bin.ckpt",
@@ -611,7 +667,13 @@ fn no_proxy_is_a_clean_error() {
     let node = cluster.node_ids()[0];
     let pid = cluster.spawn(node);
     assert!(matches!(
-        checkpoint_checl(&mut lib, &mut cluster, pid, "/ram/x"),
+        checl::snapshot(
+            &mut lib,
+            &mut cluster,
+            pid,
+            "/ram/x",
+            &CprPolicy::sequential()
+        ),
         Err(checl::cpr::CheclCprError::NoProxy)
     ));
     assert!(matches!(
@@ -708,7 +770,6 @@ fn false_positive_scalar_matching_checl_handle() {
 
 #[test]
 fn incremental_checkpoint_skips_clean_buffers_and_restores() {
-    use checl::checkpoint_checl_incremental;
     let mut cluster = Cluster::with_standard_nodes(1);
     let node = cluster.node_ids()[0];
     let app_pid = cluster.spawn(node);
@@ -720,9 +781,15 @@ fn incremental_checkpoint_skips_clean_buffers_and_restores() {
     cluster.process_mut(app_pid).clock = now;
 
     // First incremental checkpoint saves everything (all dirty).
-    let first =
-        checkpoint_checl_incremental(&mut booted.lib, &mut cluster, app_pid, "/local/i0.ckpt")
-            .unwrap();
+    let first = checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/i0.ckpt",
+        &CprPolicy::sequential().incremental(true),
+    )
+    .unwrap()
+    .report;
 
     // Run the kernel again: only c changes (a, b are untouched — the
     // kernel marks its args conservatively, so write to c only via a
@@ -735,9 +802,15 @@ fn incremental_checkpoint_skips_clean_buffers_and_restores() {
     cluster.process_mut(app_pid).clock = now;
 
     // Second incremental checkpoint: a and b are clean and skipped.
-    let second =
-        checkpoint_checl_incremental(&mut booted.lib, &mut cluster, app_pid, "/local/i1.ckpt")
-            .unwrap();
+    let second = checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/i1.ckpt",
+        &CprPolicy::sequential().incremental(true),
+    )
+    .unwrap()
+    .report;
     assert!(
         second.file_size.as_u64() < first.file_size.as_u64() - (1 << 21),
         "incremental file {} should be much smaller than full {}",
@@ -750,7 +823,7 @@ fn incremental_checkpoint_skips_clean_buffers_and_restores() {
     // pulled from i0.ckpt via the saved_in references.
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
-    let (mut lib2, pid2, _) = restart_checl_process(
+    let (mut lib2, pid2, _) = checl::restore(
         &mut cluster,
         node,
         "/local/i1.ckpt",
@@ -773,7 +846,6 @@ fn incremental_checkpoint_skips_clean_buffers_and_restores() {
 
 #[test]
 fn incremental_equals_full_when_everything_dirty() {
-    use checl::checkpoint_checl_incremental;
     let mut cluster = Cluster::with_standard_nodes(1);
     let node = cluster.node_ids()[0];
     let app_pid = cluster.spawn(node);
@@ -781,8 +853,15 @@ fn incremental_equals_full_when_everything_dirty() {
     let mut now = cluster.process(app_pid).clock;
     let _app = build_app(&mut booted.lib, &mut now, 1 << 16);
     cluster.process_mut(app_pid).clock = now;
-    let inc = checkpoint_checl_incremental(&mut booted.lib, &mut cluster, app_pid, "/ram/e0.ckpt")
-        .unwrap();
+    let inc = checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/ram/e0.ckpt",
+        &CprPolicy::sequential().incremental(true),
+    )
+    .unwrap()
+    .report;
     // Nothing was ever checkpointed before, so the incremental file
     // contains all three buffers, same as a full checkpoint would.
     assert!(inc.file_size.as_u64() > 3 * (1 << 18));
@@ -829,11 +908,18 @@ __kernel void peek(image2d_t img, __global float* out) { }
     let _ = ocl;
     cluster.process_mut(app_pid).clock = now;
 
-    checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/nfs/img.ckpt").unwrap();
+    checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/nfs/img.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
 
-    let (mut lib2, pid2, _) = restart_checl_process(
+    let (mut lib2, pid2, _) = checl::restore(
         &mut cluster,
         nodes[1],
         "/nfs/img.ckpt",
@@ -849,7 +935,6 @@ __kernel void peek(image2d_t img, __global float* out) { }
 
 #[test]
 fn incremental_restart_fails_cleanly_when_base_file_is_gone() {
-    use checl::checkpoint_checl_incremental;
     let mut cluster = Cluster::with_standard_nodes(1);
     let node = cluster.node_ids()[0];
     let app_pid = cluster.spawn(node);
@@ -858,10 +943,22 @@ fn incremental_restart_fails_cleanly_when_base_file_is_gone() {
     let _app = build_app(&mut booted.lib, &mut now, 1 << 12);
     cluster.process_mut(app_pid).clock = now;
 
-    checkpoint_checl_incremental(&mut booted.lib, &mut cluster, app_pid, "/local/base.ckpt")
-        .unwrap();
-    checkpoint_checl_incremental(&mut booted.lib, &mut cluster, app_pid, "/local/top.ckpt")
-        .unwrap();
+    checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/base.ckpt",
+        &CprPolicy::sequential().incremental(true),
+    )
+    .unwrap();
+    checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/top.ckpt",
+        &CprPolicy::sequential().incremental(true),
+    )
+    .unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
 
@@ -869,7 +966,7 @@ fn incremental_restart_fails_cleanly_when_base_file_is_gone() {
     let janitor = cluster.spawn(node);
     cluster.delete_file(janitor, "/local/base.ckpt").unwrap();
 
-    match restart_checl_process(
+    match checl::restore(
         &mut cluster,
         node,
         "/local/top.ckpt",
@@ -893,7 +990,14 @@ fn restore_after_db_corruption_is_detected() {
     let mut now = cluster.process(app_pid).clock;
     let _app = build_app(&mut booted.lib, &mut now, 1 << 10);
     cluster.process_mut(app_pid).clock = now;
-    checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/local/c.ckpt").unwrap();
+    checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/c.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
 
     // Flip a byte inside the frame (not the padding): detected by the
     // frame checksum at restart.
@@ -901,7 +1005,7 @@ fn restore_after_db_corruption_is_detected() {
     let mut bytes = cluster.read_file(reader, "/local/c.ckpt").unwrap();
     bytes[64] ^= 0xff;
     cluster.write_file(reader, "/local/c.ckpt", bytes).unwrap();
-    match restart_checl_process(
+    match checl::restore(
         &mut cluster,
         node,
         "/local/c.ckpt",
@@ -918,7 +1022,6 @@ fn restore_after_db_corruption_is_detected() {
 fn incremental_chain_survives_migration() {
     // Regression: after a migration, clean buffers must not keep
     // incremental references to files on the *old* node's local disk.
-    use checl::checkpoint_checl_incremental;
     let mut cluster = Cluster::with_standard_nodes(2);
     let nodes = cluster.node_ids();
     let app_pid = cluster.spawn(nodes[0]);
@@ -930,7 +1033,14 @@ fn incremental_chain_survives_migration() {
 
     // Incremental checkpoint onto node0's LOCAL disk, then migrate via
     // NFS to node1.
-    checkpoint_checl_incremental(&mut booted.lib, &mut cluster, app_pid, "/local/n0.ckpt").unwrap();
+    checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/n0.ckpt",
+        &CprPolicy::sequential().incremental(true),
+    )
+    .unwrap();
     let report = checl::migrate_process(
         &mut cluster,
         booted.lib,
@@ -947,10 +1057,17 @@ fn incremental_chain_survives_migration() {
 
     // On node1, take another *incremental* checkpoint; it must not
     // reference /local/n0.ckpt (which lives on node0's disk).
-    checkpoint_checl_incremental(&mut lib2, &mut cluster, pid2, "/local/n1.ckpt").unwrap();
+    checl::snapshot(
+        &mut lib2,
+        &mut cluster,
+        pid2,
+        "/local/n1.ckpt",
+        &CprPolicy::sequential().incremental(true),
+    )
+    .unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut lib2);
     cluster.kill(pid2);
-    let (mut lib3, pid3, _) = restart_checl_process(
+    let (mut lib3, pid3, _) = checl::restore(
         &mut cluster,
         nodes[1],
         "/local/n1.ckpt",

@@ -4,7 +4,6 @@
 //! mid-dump abort without damaging earlier generations, and never leave
 //! an incremental reference pointing at a GC-pruned base.
 
-use checl::cpr::restart_checl_process;
 use checl::runtime::ChecLib;
 use checl::{boot_checl, CheclConfig, CprPolicy, RecoveryPolicy, RestoreTarget};
 use cldriver::vendor::nimbus;
@@ -396,7 +395,7 @@ fn gc_pruned_base_is_redirtied_not_chased() {
     drop(booted);
 
     let newest = vault.restore_chain().into_iter().next().unwrap();
-    let (mut lib2, pid2, _) = restart_checl_process(
+    let (mut lib2, pid2, _) = checl::restore(
         &mut cluster,
         node,
         &newest,

@@ -7,13 +7,13 @@
 //! the interpreter.
 
 use crate::script::{AppProgram, RunStatus, Script, StopCondition};
-use checl::cpr::{restart_checl_process, CheckpointReport, CheclCprError, RestoreTarget};
+use checl::cpr::{CheclCprError, RestoreTarget};
 use checl::migrate::MigrationReport;
-use checl::{boot_checl, checkpoint_checl, ChecLib, CheclConfig, CprPolicy, SnapshotOutcome};
+use checl::{boot_checl, ChecLib, CheclConfig, CprPolicy, SnapshotOutcome};
 use cldriver::{Driver, VendorConfig};
 use clspec::api::ClApi;
 use clspec::error::ClResult;
-use osproc::{Cluster, NodeId, Pid};
+use osproc::{Cluster, MemImage, NodeId, Pid};
 use simcore::codec::Codec;
 use simcore::{telemetry, SimDuration, SimTime};
 
@@ -153,53 +153,9 @@ impl CheclSession {
             .put(APP_SEGMENT, self.program.to_bytes());
     }
 
-    /// Checkpoint this application (CheCL §III-C procedure).
-    pub fn checkpoint(
-        &mut self,
-        cluster: &mut Cluster,
-        path: &str,
-    ) -> Result<CheckpointReport, CheclCprError> {
-        self.persist_program(cluster);
-        checkpoint_checl(&mut self.lib, cluster, self.pid, path)
-    }
-
-    /// Checkpoint through the pipelined engine: D2H copies overlap the
-    /// streamed chunk writes ([`checl::checkpoint_checl_pipelined`]).
-    pub fn checkpoint_pipelined(
-        &mut self,
-        cluster: &mut Cluster,
-        path: &str,
-    ) -> Result<CheckpointReport, CheclCprError> {
-        self.persist_program(cluster);
-        checl::checkpoint_checl_pipelined(&mut self.lib, cluster, self.pid, path)
-    }
-
-    /// Pipelined + incremental checkpoint
-    /// ([`checl::checkpoint_checl_pipelined_incremental`]).
-    pub fn checkpoint_pipelined_incremental(
-        &mut self,
-        cluster: &mut Cluster,
-        path: &str,
-    ) -> Result<CheckpointReport, CheclCprError> {
-        self.persist_program(cluster);
-        checl::checkpoint_checl_pipelined_incremental(&mut self.lib, cluster, self.pid, path)
-    }
-
-    /// Checkpoint with the full recovery policy — atomic
-    /// write-to-temp-then-rename, post-write verification, bounded
-    /// retry and target fallback ([`checl::checkpoint_with_recovery`]).
-    pub fn checkpoint_with_recovery(
-        &mut self,
-        cluster: &mut Cluster,
-        targets: &[&str],
-        policy: &blcr::RetryPolicy,
-    ) -> Result<(CheckpointReport, blcr::RecoveryOutcome), CheclCprError> {
-        self.persist_program(cluster);
-        checl::checkpoint_with_recovery(&mut self.lib, cluster, self.pid, targets, policy)
-    }
-
-    /// Checkpoint under an arbitrary [`CprPolicy`] — the unified-engine
-    /// entry point the legacy `checkpoint*` methods are shims over.
+    /// Checkpoint this application under `policy` (the CheCL §III-C
+    /// procedure; [`checl::snapshot`]). The interpreter state is
+    /// persisted into the image first, so the dump carries it.
     pub fn checkpoint_with_policy(
         &mut self,
         cluster: &mut Cluster,
@@ -231,29 +187,10 @@ impl CheclSession {
         cluster.kill(self.pid);
     }
 
-    /// Restart a checkpointed session on `node` with `vendor`.
-    pub fn restart(
-        cluster: &mut Cluster,
-        node: NodeId,
-        path: &str,
-        vendor: VendorConfig,
-        target: RestoreTarget,
-    ) -> Result<CheclSession, CheclCprError> {
-        let (lib, pid, _report) = restart_checl_process(cluster, node, path, vendor, target)?;
-        let bytes = cluster
-            .process(pid)
-            .image
-            .get(APP_SEGMENT)
-            .ok_or(CheclCprError::MissingState)?
-            .to_vec();
-        let program = AppProgram::from_bytes(&bytes).map_err(CheclCprError::BadState)?;
-        Ok(CheclSession { pid, lib, program })
-    }
-
-    /// Restart through the pipelined engine
-    /// ([`checl::restart_checl_pipelined`]): streamed checkpoints are
-    /// read and uploaded overlapped; sequential dumps are handled
-    /// identically to [`CheclSession::restart`].
+    /// Restart a checkpointed session on `node` with `vendor`, from a
+    /// dump in either format ([`checl::restore`]): streamed checkpoints
+    /// are read and uploaded overlapped, sequential dumps take the
+    /// classic restart.
     pub fn restart_pipelined(
         cluster: &mut Cluster,
         node: NodeId,
@@ -261,41 +198,15 @@ impl CheclSession {
         vendor: VendorConfig,
         target: RestoreTarget,
     ) -> Result<CheclSession, CheclCprError> {
-        let (lib, pid, _report) =
-            checl::restart_checl_pipelined(cluster, node, path, vendor, target)?;
-        let bytes = cluster
-            .process(pid)
-            .image
-            .get(APP_SEGMENT)
-            .ok_or(CheclCprError::MissingState)?
-            .to_vec();
-        let program = AppProgram::from_bytes(&bytes).map_err(CheclCprError::BadState)?;
+        let (lib, pid, _report) = checl::restore(cluster, node, path, vendor, target)?;
+        let program = program_in(&cluster.process(pid).image)?;
         Ok(CheclSession { pid, lib, program })
     }
 
-    /// Migrate this session to another node/vendor/device and resume,
-    /// using the classic sequential dump.
-    pub fn migrate(
-        self,
-        cluster: &mut Cluster,
-        dest_node: NodeId,
-        dest_vendor: VendorConfig,
-        path: &str,
-        target: RestoreTarget,
-    ) -> Result<(CheclSession, MigrationReport), CheclCprError> {
-        self.migrate_with_policy(
-            cluster,
-            dest_node,
-            dest_vendor,
-            path,
-            target,
-            &CprPolicy::sequential(),
-        )
-    }
-
-    /// Migrate under an arbitrary [`CprPolicy`]: a pipelined policy
-    /// overlaps the dump's copies and writes, a recovery policy adds
-    /// verify/retry/fallback to the source-side snapshot.
+    /// Migrate this session to another node/vendor/device under
+    /// `policy` and resume: a pipelined policy overlaps the dump's
+    /// copies and writes, a recovery policy adds verify/retry/fallback
+    /// to the source-side snapshot.
     pub fn migrate_with_policy(
         mut self,
         cluster: &mut Cluster,
@@ -316,13 +227,7 @@ impl CheclSession {
             target,
             policy,
         )?;
-        let bytes = cluster
-            .process(report.new_pid)
-            .image
-            .get(APP_SEGMENT)
-            .ok_or(CheclCprError::MissingState)?
-            .to_vec();
-        let program = AppProgram::from_bytes(&bytes).map_err(CheclCprError::BadState)?;
+        let program = program_in(&cluster.process(report.new_pid).image)?;
         // Take the rebuilt shim out of the report and into the session.
         let lib = std::mem::replace(&mut report.new_lib, ChecLib::new(CheclConfig::default()));
         let session = CheclSession {
@@ -332,6 +237,29 @@ impl CheclSession {
         };
         Ok((session, report))
     }
+}
+
+/// Decode the interpreter state dumped into `image`.
+fn program_in(image: &MemImage) -> Result<AppProgram, CheclCprError> {
+    let bytes = image.get(APP_SEGMENT).ok_or(CheclCprError::MissingState)?;
+    AppProgram::from_bytes(bytes).map_err(CheclCprError::BadState)
+}
+
+/// Re-read the dump at `path` as `pid` and decode the interpreter
+/// state it carries — the host-side half of an in-place rollback after
+/// a proxy respawn (the device side came back via the object graph).
+/// The read is charged to `pid`'s clock.
+pub(crate) fn reload_program(
+    cluster: &mut Cluster,
+    pid: Pid,
+    path: &str,
+) -> Result<AppProgram, CheclCprError> {
+    let bytes = cluster
+        .read_file(pid, path)
+        .map_err(|e| CheclCprError::Cpr(blcr::CprError::Fs(e)))?;
+    let dump =
+        blcr::sniff_dump(&bytes).map_err(|e| CheclCprError::Cpr(blcr::CprError::Corrupt(e)))?;
+    program_in(dump.image())
 }
 
 /// Where a step-driven run segment ([`CheclSession::run_step`])
@@ -400,74 +328,6 @@ impl CheclSession {
     }
 }
 
-/// Outcome of a signal-aware run segment.
-#[derive(Debug, PartialEq)]
-pub enum CprRunOutcome {
-    /// Script finished; no checkpoint was triggered.
-    Done,
-    /// A checkpoint was taken (triggered by SIGUSR1) and the program
-    /// paused right after it; call `run_with_cpr` again to continue.
-    Checkpointed(checl::CheckpointReport),
-}
-
-impl CheclSession {
-    /// Run the program while honouring checkpoint signals (§III-C).
-    ///
-    /// When a `SIGUSR1` is pending on the application process:
-    /// * **Immediate mode** checkpoints before the next op executes,
-    ///   paying the synchronization wait for any in-flight commands;
-    /// * **Delayed mode** postpones until the program's next `clFinish`
-    ///   (its natural synchronization point), so the checkpoint's sync
-    ///   phase is nearly free. If the script ends first, the checkpoint
-    ///   is taken at exit (all queues drained by then).
-    ///
-    /// Returns after the first checkpoint so callers can decide whether
-    /// to continue, migrate or kill.
-    pub fn run_with_cpr(
-        &mut self,
-        cluster: &mut Cluster,
-        mode: checl::CheckpointMode,
-        path: &str,
-    ) -> Result<CprRunOutcome, CheclCprError> {
-        use crate::script::Op;
-        let mut armed = false;
-        loop {
-            if self.program.is_done() {
-                return if armed {
-                    // Delayed past the end of the script: checkpoint at
-                    // exit, queues already drained.
-                    Ok(CprRunOutcome::Checkpointed(self.checkpoint(cluster, path)?))
-                } else {
-                    Ok(CprRunOutcome::Done)
-                };
-            }
-            if cluster.process_mut(self.pid).poll_signal() == Some(osproc::Signal::Usr1) {
-                armed = true;
-            }
-            if armed {
-                let at_sync_point = matches!(
-                    self.program.script.ops[self.program.pc as usize],
-                    Op::Finish { .. }
-                );
-                let take_now = match mode {
-                    checl::CheckpointMode::Immediate => true,
-                    checl::CheckpointMode::Delayed => at_sync_point,
-                };
-                if take_now {
-                    return Ok(CprRunOutcome::Checkpointed(self.checkpoint(cluster, path)?));
-                }
-            }
-            let mut now = cluster.process(self.pid).clock;
-            let step = {
-                let _track = telemetry::track_scope(telemetry::Track::process(self.pid.0 as u64));
-                self.program.step(&mut self.lib, &mut now)
-            };
-            cluster.process_mut(self.pid).clock = now;
-            step.map_err(CheclCprError::Cl)?;
-        }
-    }
-}
-
 /// Outcome of a policy-driven signal-aware run segment.
 #[derive(Debug)]
 pub enum PolicyRunOutcome {
@@ -479,13 +339,22 @@ pub enum PolicyRunOutcome {
 }
 
 impl CheclSession {
-    /// Run the program while honouring checkpoint signals under an
-    /// arbitrary [`CprPolicy`] — the unified-engine sibling of
-    /// [`CheclSession::run_with_cpr`]. The policy's `trigger` decides
-    /// Immediate vs Delayed placement, and the snapshot itself goes
-    /// through [`CheclSession::checkpoint_with_policy`], so Delayed
-    /// triggering composes with streaming, pipelining and commit
-    /// hardening.
+    /// Run the program while honouring checkpoint signals (§III-C).
+    ///
+    /// When a `SIGUSR1` is pending on the application process, the
+    /// policy's `trigger` decides where the snapshot lands:
+    /// * **Immediate** checkpoints before the next op executes, paying
+    ///   the synchronization wait for any in-flight commands;
+    /// * **Delayed** postpones until the program's next `clFinish` (its
+    ///   natural synchronization point), so the checkpoint's sync phase
+    ///   is nearly free. If the script ends first, the checkpoint is
+    ///   taken at exit (all queues drained by then).
+    ///
+    /// The snapshot itself goes through
+    /// [`CheclSession::checkpoint_with_policy`], so Delayed triggering
+    /// composes with streaming, pipelining and commit hardening.
+    /// Returns after the first checkpoint so callers can decide whether
+    /// to continue, migrate or kill.
     pub fn run_with_cpr_policy(
         &mut self,
         cluster: &mut Cluster,
@@ -555,7 +424,8 @@ impl CheclSession {
     /// final buffer contents are bit-exact with an undisturbed run.
     ///
     /// `last_ckpt` must name a checkpoint taken with
-    /// [`CheclSession::checkpoint`] (so it carries the program state).
+    /// [`CheclSession::checkpoint_with_policy`] (so it carries the
+    /// program state).
     /// At most `max_respawns` recoveries are attempted; a fault storm
     /// beyond that surfaces as `DeviceNotAvailable`.
     pub fn run_with_recovery(
@@ -660,14 +530,7 @@ impl CheclSession {
             vendor,
             RestoreTarget::default(),
         )?;
-        let bytes = cluster
-            .read_file(self.pid, last_ckpt)
-            .map_err(|e| CheclCprError::Cpr(blcr::CprError::Fs(e)))?;
-        let image = blcr::sniff_dump(&bytes)
-            .map_err(|e| CheclCprError::Cpr(blcr::CprError::Corrupt(e)))?
-            .into_image();
-        let app = image.get(APP_SEGMENT).ok_or(CheclCprError::MissingState)?;
-        self.program = AppProgram::from_bytes(app).map_err(CheclCprError::BadState)?;
+        self.program = reload_program(cluster, self.pid, last_ckpt)?;
         Ok(())
     }
 }

@@ -22,15 +22,13 @@
 //!    per-incident repair ladder or the global failure-storm backstop
 //!    is exhausted — never a panic, never silent corruption.
 
-use crate::script::AppProgram;
-use crate::session::{CheclSession, APP_SEGMENT};
+use crate::session::{reload_program, CheclSession};
 use blcr::DumpVault;
 use checl::cpr::{CheclCprError, RestoreTarget};
 use checl::supervisor::{Supervisor, SupervisorConfig, SupervisorError, SupervisorReport};
 use checl::CprPolicy;
 use cldriver::VendorConfig;
 use osproc::{BeatSource, Cluster, NodeId};
-use simcore::codec::Codec;
 use simcore::{telemetry, SimDuration, SimTime};
 
 /// Everything a supervised run needs beyond the session itself.
@@ -191,25 +189,6 @@ fn commit_checkpoint(
     Ok(after)
 }
 
-/// Reload the interpreter from the dump at `path` (the rollback half of
-/// a proxy respawn — device state came back via the object graph, host
-/// state must come from the same generation).
-fn reload_program(
-    cluster: &mut Cluster,
-    session: &mut CheclSession,
-    path: &str,
-) -> Result<(), CheclCprError> {
-    let bytes = cluster
-        .read_file(session.pid, path)
-        .map_err(|e| CheclCprError::Cpr(blcr::CprError::Fs(e)))?;
-    let image = blcr::sniff_dump(&bytes)
-        .map_err(|e| CheclCprError::Cpr(blcr::CprError::Corrupt(e)))?
-        .into_image();
-    let app = image.get(APP_SEGMENT).ok_or(CheclCprError::MissingState)?;
-    session.program = AppProgram::from_bytes(app).map_err(CheclCprError::BadState)?;
-    Ok(())
-}
-
 /// Run `session` to completion under supervision. Returns the finished
 /// session and the supervisor's accounting, or a typed
 /// [`SupervisorError::Escalated`] when repair is exhausted.
@@ -247,7 +226,9 @@ pub fn run_supervised(
     let mut partition_fenced = false;
 
     // Generation 0: a supervised run must always have a restore point,
-    // or the first failure is unrecoverable by construction.
+    // or the first failure is unrecoverable by construction. A live cut
+    // is only a pending restore point until its drain seals into the
+    // vault, so seal it right away.
     let mut commit_clock = commit_checkpoint(
         cluster,
         &mut session,
@@ -257,6 +238,17 @@ pub fn run_supervised(
         &mut pending_live,
         epoch,
     )
+    .and_then(|at| {
+        seal_live(
+            cluster,
+            &mut session,
+            &mut vault,
+            &mut sup,
+            &mut pending_live,
+            epoch,
+        )?;
+        Ok(at)
+    })
     .map_err(|e| escalate(0, format!("initial checkpoint: {e}")))?;
 
     loop {
@@ -361,7 +353,7 @@ pub fn run_supervised(
                 };
                 let mut restored: Option<CheclSession> = None;
                 for path in &chain {
-                    match CheclSession::restart(
+                    match CheclSession::restart_pipelined(
                         cluster,
                         spare,
                         path,
@@ -462,7 +454,8 @@ pub fn run_supervised(
                         setup.vendor.clone(),
                         setup.restore,
                     )
-                    .and_then(|_| reload_program(cluster, &mut session, path));
+                    .and_then(|_| reload_program(cluster, session.pid, path))
+                    .map(|program| session.program = program);
                     match respawned {
                         Ok(()) => {
                             ok = true;

@@ -28,9 +28,18 @@ echo "==> smoke: fig5_checkpoint with trace recording"
 cargo run -q --release -p checl-bench --bin fig5_checkpoint -- \
     --trace results/fig5.trace.json >/dev/null
 # TraceSession::finish panics unless telemetry::validate accepts the
-# trace, so reaching here means the export is structurally sound.
+# trace, so reaching here means the export is structurally sound. The
+# JSON is identical traced or not, so it is diffed like every golden.
 test -s results/fig5.trace.json
-test -s results/BENCH_fig5_checkpoint.json
+git diff --exit-code -- results/BENCH_fig5_checkpoint.json
+
+echo "==> smoke: checkpoint/restart harnesses on the one engine (golden diff)"
+# Every checkpoint here is a snapshot and every restart a restore call,
+# so these goldens pin the sequential path of both.
+for bin in fig6_mpi fig7_restart ablation_incremental ablation_modes ablation_procsel; do
+    cargo run -q --release -p checl-bench --bin "$bin" >/dev/null
+    git diff --exit-code -- "results/BENCH_$bin.json"
+done
 
 echo "==> smoke: fault-injection matrix (fixed seed, diffed against golden)"
 cargo run -q --release -p checl-bench --bin ablation_faults -- \

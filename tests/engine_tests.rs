@@ -6,7 +6,7 @@
 //! migration survives a transient disk fault across a vendor switch.
 
 use blcr::RetryPolicy;
-use checl::{CheclConfig, CprPolicy, RecoveryPolicy, RestoreTarget, SnapshotFormat};
+use checl::{CheclConfig, CprPolicy, RecoveryPolicy, RestoreTarget};
 use checl_repro as _;
 use clspec::types::DeviceType;
 use osproc::{Cluster, FaultPlan};
@@ -78,14 +78,12 @@ fn arbitrary_sizes(g: &mut Gen) -> Vec<u64> {
 }
 
 /// Draw one point of the policy lattice: format × incremental ×
-/// pipelined × recovery (with and without read-back verification).
+/// recovery (with and without read-back verification) × trigger. The
+/// streamed format is the pipelined data path; a second draw can also
+/// turn it on, so three points in four stream.
 fn arbitrary_policy(g: &mut Gen) -> CprPolicy {
     let mut policy = CprPolicy {
-        format: if g.bool() {
-            SnapshotFormat::Streamed
-        } else {
-            SnapshotFormat::Sequential
-        },
+        pipelined: g.bool(),
         ..CprPolicy::default()
     };
     policy = policy.incremental(g.bool());
@@ -147,7 +145,12 @@ fn every_policy_combination_restores_bit_identical() {
             .unwrap();
         // Baseline generation: incremental policies reference the clean
         // half of the buffers from this file.
-        s.checkpoint(&mut cluster, "/nfs/engine-base.ckpt").unwrap();
+        s.checkpoint_with_policy(
+            &mut cluster,
+            "/nfs/engine-base.ckpt",
+            &CprPolicy::sequential(),
+        )
+        .unwrap();
         s.run(&mut cluster, StopCondition::AfterOps(stop_dirty))
             .unwrap();
         let outcome = s
@@ -247,7 +250,12 @@ fn failed_migration_leaves_previous_generation_restorable() {
             );
             s.run(&mut cluster, StopCondition::AfterOps(stop_create))
                 .unwrap();
-            s.checkpoint(&mut cluster, "/nfs/engine-gen1.ckpt").unwrap();
+            s.checkpoint_with_policy(
+                &mut cluster,
+                "/nfs/engine-gen1.ckpt",
+                &CprPolicy::sequential(),
+            )
+            .unwrap();
             s.run(&mut cluster, StopCondition::AfterOps(stop_dirty))
                 .unwrap();
             // The migration dump dies mid-write (hard failure or short

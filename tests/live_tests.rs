@@ -6,7 +6,7 @@
 //! restorable; and the live stall never exceeds the stop-the-world
 //! sequential total for the same session state.
 
-use checl::{CheclConfig, CprPolicy, RestoreTarget, SnapshotFormat};
+use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use checl_repro as _;
 use clspec::types::DeviceType;
 use osproc::{Cluster, FaultPlan};
@@ -92,15 +92,12 @@ fn arbitrary_sizes(g: &mut Gen) -> Vec<u64> {
         .collect()
 }
 
-/// Draw one live point of the policy lattice: format × incremental ×
-/// pipelined × dedup × trigger, all with the live axis on.
+/// Draw one live point of the policy lattice: incremental × pipelined
+/// × dedup × trigger, all with the live axis on (two draws can turn
+/// pipelining on, so three points in four pipeline).
 fn arbitrary_live_policy(g: &mut Gen) -> CprPolicy {
     let mut policy = CprPolicy {
-        format: if g.bool() {
-            SnapshotFormat::Streamed
-        } else {
-            SnapshotFormat::Sequential
-        },
+        pipelined: g.bool(),
         ..CprPolicy::default()
     };
     policy = policy.incremental(g.bool());
@@ -168,7 +165,12 @@ fn live_restores_bit_identical_under_concurrent_mutation() {
             s.run(&mut cluster, StopCondition::AfterOps(stop_create))
                 .unwrap();
             // Base generation for the incremental lattice points.
-            s.checkpoint(&mut cluster, "/nfs/live-base.ckpt").unwrap();
+            s.checkpoint_with_policy(
+                &mut cluster,
+                "/nfs/live-base.ckpt",
+                &CprPolicy::sequential(),
+            )
+            .unwrap();
             s.run(&mut cluster, StopCondition::AfterOps(stop_cut))
                 .unwrap();
             let outcome = s

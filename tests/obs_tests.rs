@@ -8,7 +8,7 @@
 
 use checl::obs::{reconcile_faults, verify_all, verify_lineage, LineageError};
 use checl::supervisor::{SupervisorError, SupervisorReport};
-use checl::{CheclConfig, CprPolicy, IntervalPolicy, RecoveryPolicy, SnapshotFormat};
+use checl::{CheclConfig, CprPolicy, IntervalPolicy, RecoveryPolicy};
 use checl_repro as _;
 use clspec::types::DeviceType;
 use osproc::{Cluster, FaultPlan, NodeId};
@@ -79,15 +79,12 @@ fn dirty_script(sizes: &[u64]) -> (Script, u64, u64) {
     (Script { ops }, stop_create, stop_dirty)
 }
 
-/// One point of the policy lattice: format × incremental × pipelined ×
-/// recovery × trigger.
+/// One point of the policy lattice: format × incremental × recovery.
+/// The streamed format is the pipelined data path; a second draw can
+/// also turn it on, so three points in four stream.
 fn arbitrary_policy(g: &mut Gen) -> CprPolicy {
     let mut policy = CprPolicy {
-        format: if g.bool() {
-            SnapshotFormat::Streamed
-        } else {
-            SnapshotFormat::Sequential
-        },
+        pipelined: g.bool(),
         ..CprPolicy::default()
     };
     policy = policy.incremental(g.bool());
@@ -212,7 +209,8 @@ fn lineage_verifies_at_every_policy_point() {
         s.run(&mut cluster, StopCondition::AfterOps(stop_create))
             .unwrap();
         obs::start_recording();
-        s.checkpoint(&mut cluster, "/nfs/obs-base.ckpt").unwrap();
+        s.checkpoint_with_policy(&mut cluster, "/nfs/obs-base.ckpt", &CprPolicy::sequential())
+            .unwrap();
         s.run(&mut cluster, StopCondition::AfterOps(stop_dirty))
             .unwrap();
         let outcome = s

@@ -4,6 +4,7 @@
 //! channel scheduler never double-books a resource, and a disk fault
 //! mid-stream leaves the previous checkpoint generation restorable.
 
+use checl::CprPolicy;
 use checl_repro as _;
 use osproc::{Cluster, FaultPlan};
 use simcore::channels::ChannelSet;
@@ -85,10 +86,14 @@ fn pipelined_never_slower_than_sequential() {
         let sizes = arbitrary_sizes(g);
         let (mut cluster, mut s, stop) = session_at_stop(&sizes);
         s.run(&mut cluster, StopCondition::AfterOps(stop)).unwrap();
-        let seq = s.checkpoint(&mut cluster, "/local/q-seq.ckpt").unwrap();
+        let seq = s
+            .checkpoint_with_policy(&mut cluster, "/local/q-seq.ckpt", &CprPolicy::sequential())
+            .unwrap()
+            .report;
         let pipe = s
-            .checkpoint_pipelined(&mut cluster, "/local/q-pipe.ckpt")
-            .unwrap();
+            .checkpoint_with_policy(&mut cluster, "/local/q-pipe.ckpt", &CprPolicy::pipelined())
+            .unwrap()
+            .report;
         assert!(
             pipe.total() <= seq.total(),
             "pipelined {:?} > sequential {:?} on sizes {sizes:?}",
@@ -112,12 +117,13 @@ fn pipelined_file_restarts_bit_identical() {
         let (mut cluster, mut s, stop) = session_at_stop(&sizes);
         let node = cluster.node_ids()[0];
         s.run(&mut cluster, StopCondition::AfterOps(stop)).unwrap();
-        s.checkpoint(&mut cluster, "/local/q-seq.ckpt").unwrap();
-        s.checkpoint_pipelined(&mut cluster, "/local/q-pipe.ckpt")
+        s.checkpoint_with_policy(&mut cluster, "/local/q-seq.ckpt", &CprPolicy::sequential())
+            .unwrap();
+        s.checkpoint_with_policy(&mut cluster, "/local/q-pipe.ckpt", &CprPolicy::pipelined())
             .unwrap();
         s.kill(&mut cluster);
 
-        let mut from_seq = CheclSession::restart(
+        let mut from_seq = CheclSession::restart_pipelined(
             &mut cluster,
             node,
             "/local/q-seq.ckpt",
@@ -196,12 +202,13 @@ fn mid_stream_fault_leaves_previous_generation_restorable() {
         // Generation 0 commits before faults arm; alternate its format
         // so rollback is proven onto both file kinds.
         let gen0_pipelined = g.bool();
-        if gen0_pipelined {
-            s.checkpoint_pipelined(&mut cluster, "/local/q-gen0.ckpt")
+        let gen0 = if gen0_pipelined {
+            CprPolicy::pipelined()
         } else {
-            s.checkpoint(&mut cluster, "/local/q-gen0.ckpt")
-        }
-        .unwrap();
+            CprPolicy::sequential()
+        };
+        s.checkpoint_with_policy(&mut cluster, "/local/q-gen0.ckpt", &gen0)
+            .unwrap();
 
         // Arm detectable write faults (hard failures and short writes —
         // both are caught in-line, failures by the append itself and
@@ -215,7 +222,8 @@ fn mid_stream_fault_leaves_previous_generation_restorable() {
             plan = plan.fail_next_writes(1);
         }
         cluster.install_faults(plan);
-        let res = s.checkpoint_pipelined(&mut cluster, "/local/q-gen1.ckpt");
+        let res =
+            s.checkpoint_with_policy(&mut cluster, "/local/q-gen1.ckpt", &CprPolicy::pipelined());
         cluster.take_faults();
         // Either the stream committed and is itself restorable, or the
         // abort left no gen-1 file — never a torn half-commit.

@@ -174,12 +174,11 @@ fn supervised_run_heals_proxy_death_bit_exact() {
     assert_eq!(s.program.checksums, golden);
 }
 
-/// A node crash fails the session over to a healthy spare from the NFS
-/// mirror replica, re-seeds local replicas by scrubbing, and finishes
-/// bit-exact.
-#[test]
-fn supervised_run_fails_over_to_a_spare_node() {
-    let golden = golden_checksums();
+/// Crash the session's node 4 ms in, with two spares to fail over to,
+/// and supervise it under `policy`: the run must complete off the
+/// crashed node, bit-exact.
+fn assert_failover_completes(policy: &CprPolicy) {
+    let label = policy.label();
     let mut cluster = Cluster::with_standard_nodes(3);
     let nodes = cluster.node_ids();
     let session = launch_on(&mut cluster, nodes[0]);
@@ -187,17 +186,40 @@ fn supervised_run_fails_over_to_a_spare_node() {
     cluster.install_faults(
         FaultPlan::new(11).schedule_node_crash(origin + SimDuration::from_millis(4), nodes[0]),
     );
-    let setup = test_setup(vec![nodes[1], nodes[2]]);
-    let (s, report) =
-        run_supervised(&mut cluster, session, &setup).expect("failover to a spare must succeed");
-    assert!(report.completed);
-    assert!(report.failures >= 1);
+    let mut setup = test_setup(vec![nodes[1], nodes[2]]);
+    setup.policy = policy.clone();
+    let (s, report) = run_supervised(&mut cluster, session, &setup)
+        .unwrap_or_else(|e| panic!("{label}: failover to a spare must succeed: {e}"));
+    assert!(report.completed, "{label}");
+    assert!(report.failures >= 1, "{label}");
     assert_ne!(
         cluster.process(s.pid).node,
         nodes[0],
-        "the session must have moved off the crashed node"
+        "{label}: the session must have moved off the crashed node"
     );
-    assert_eq!(s.program.checksums, golden);
+    assert_eq!(s.program.checksums, golden_checksums(), "{label}");
+}
+
+/// A node crash fails the session over to a healthy spare from the NFS
+/// mirror replica, re-seeds local replicas by scrubbing, and finishes
+/// bit-exact.
+#[test]
+fn supervised_run_fails_over_to_a_spare_node() {
+    assert_failover_completes(&test_setup(Vec::new()).policy);
+}
+
+/// The same failover when the vault holds streamed dumps — pipelined,
+/// dedup (chunk-map frames resolved against the chunk store) and live
+/// (generation 0 sealed before the crash can strike).
+#[test]
+fn supervised_failover_restores_streamed_dumps() {
+    for policy in [
+        CprPolicy::pipelined(),
+        CprPolicy::pipelined().dedup(true),
+        CprPolicy::pipelined().live(true),
+    ] {
+        assert_failover_completes(&policy);
+    }
 }
 
 /// With no spare to fail over to, a node crash exhausts repair and
@@ -316,7 +338,7 @@ fn delayed_checkpoint_under_faults_restores_bit_exact() {
                 "Delayed must commit at a sync point"
             );
             cluster.take_faults();
-            let mut restored = CheclSession::restart(
+            let mut restored = CheclSession::restart_pipelined(
                 &mut cluster,
                 node,
                 &snap.path,

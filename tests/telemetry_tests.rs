@@ -3,7 +3,7 @@
 //! spans and the `CheckpointReport` arithmetic, and byte-exact
 //! determinism of the Chrome trace export.
 
-use checl::{CheclConfig, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use checl_repro as _;
 use osproc::Cluster;
 use simcore::qcheck::qcheck;
@@ -111,12 +111,19 @@ fn record_checkpoint() -> (Recorder, checl::CheckpointReport) {
         w.script(&cfg),
     );
     s.run(&mut cluster, StopCondition::AfterKernel(1)).unwrap();
-    let report = s.checkpoint(&mut cluster, "/nfs/telemetry.ckpt").unwrap();
+    let report = s
+        .checkpoint_with_policy(
+            &mut cluster,
+            "/nfs/telemetry.ckpt",
+            &CprPolicy::sequential(),
+        )
+        .unwrap()
+        .report;
 
     // Cross-vendor restart so restore spans land in the trace too.
     s.kill(&mut cluster);
     let nodes = cluster.node_ids();
-    let resumed = CheclSession::restart(
+    let resumed = CheclSession::restart_pipelined(
         &mut cluster,
         nodes[1],
         "/nfs/telemetry.ckpt",
