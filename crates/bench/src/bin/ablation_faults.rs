@@ -28,7 +28,9 @@ use checl_bench::{
 use mpisim::{coordinated_checkpoint_with_retry, restart_world, MpiWorld};
 use osproc::{Cluster, FaultKind, FaultPlan, Pid};
 use simcore::SimDuration;
-use workloads::{workload_by_name, CheclSession, NativeSession, StopCondition};
+use workloads::{
+    run_supervised, workload_by_name, CheclSession, NativeSession, StopCondition, SuperviseSetup,
+};
 
 /// Base seed for every scenario's plan; scenario k uses `SEED + k`.
 const SEED: u64 = 20110704;
@@ -235,30 +237,21 @@ fn golden_checksums(target: &EvalTarget) -> Vec<u64> {
 }
 
 /// The API proxy dies mid-run (and the pipe breaks a little later);
-/// the session respawns the proxy, re-creates the object graph from
-/// the last checkpoint, rolls the program back, and still finishes
-/// with the right answers.
+/// the supervisor respawns the proxy, re-creates the object graph from
+/// its last vault generation, rolls the program back, and still
+/// finishes with the right answers.
 fn proxy_death_scenario(fig: &mut FigureWriter, target: &EvalTarget, golden: &[u64]) {
     let w = workload_by_name("oclVectorAdd").unwrap();
-    let (mut cluster, mut session) = session_at_first_kernel(&w, target, SCALE).unwrap();
-    session
-        .checkpoint_with_policy(&mut cluster, "/local/vadd.ckpt", &CprPolicy::sequential())
-        .unwrap();
+    let (mut cluster, session) = session_at_first_kernel(&w, target, SCALE).unwrap();
     let now = cluster.process(session.pid).clock;
     cluster.install_faults(
         FaultPlan::new(SEED + 4)
             .schedule_proxy_death(now)
             .schedule_pipe_break(now + SimDuration::from_millis(1)),
     );
-    let report = session
-        .run_with_recovery(
-            &mut cluster,
-            StopCondition::Completion,
-            "/local/vadd.ckpt",
-            &(target.vendor)(),
-            8,
-        )
-        .expect("run must survive the proxy faults");
+    let setup = SuperviseSetup::new((target.vendor)(), "/local/vadd", "/nfs/vadd");
+    let (session, report) =
+        run_supervised(&mut cluster, session, &setup).expect("run must survive the proxy faults");
     let plan = cluster.faults().unwrap();
     let injected = plan.count(FaultKind::ProxyDeath) + plan.count(FaultKind::PipeBreak);
     assert_eq!(
@@ -269,7 +262,7 @@ fn proxy_death_scenario(fig: &mut FigureWriter, target: &EvalTarget, golden: &[u
         "proxy-death".into(),
         "proxy_death+pipe_break".into(),
         injected.into(),
-        (report.respawns as u64).into(),
+        (report.repairs as u64).into(),
         "completed; checksums bit-exact with undisturbed run".into(),
     ]);
 }

@@ -40,6 +40,17 @@ pub enum CheckpointMode {
     Delayed,
 }
 
+impl CheckpointMode {
+    /// Whether an armed checkpoint fires now: Immediate fires at any op
+    /// boundary, Delayed only at a synchronization point.
+    pub fn fires(self, at_sync_point: bool) -> bool {
+        match self {
+            CheckpointMode::Immediate => true,
+            CheckpointMode::Delayed => at_sync_point,
+        }
+    }
+}
+
 /// Byte accounting of one dedup (content-addressed) checkpoint.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DedupStats {

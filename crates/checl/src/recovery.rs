@@ -9,7 +9,9 @@
 //!   API-proxy death or a broken app↔proxy pipe *without* restarting
 //!   the application process: fork a new proxy and re-create the object
 //!   graph from the last good checkpoint (§III-C's restart procedure,
-//!   applied in place);
+//!   applied in place). The supervisor's proxy-death rung
+//!   (`workloads::run_supervised`) is its one driver: it picks the
+//!   vault generation and rolls the program back with it;
 //! * **restart chains** — [`restart_checl_chain`] walks a newest-first
 //!   list of checkpoint files and [`engine::restore`]s the newest one
 //!   that is readable, uncorrupted and carries a decodable CheCL state,
@@ -37,10 +39,10 @@ use simcore::{obs, telemetry};
 /// The vendor-side state newer than `last_ckpt` died with the proxy, so
 /// the shim is rolled back to the object database dumped in that
 /// checkpoint (the application's own rollback — re-running from the
-/// checkpointed program counter — is the caller's job, e.g.
-/// `CheclSession::run_with_recovery`). Then the §III-C restart
-/// procedure runs in place: fork a new proxy, re-create every object,
-/// upload the saved buffer contents.
+/// checkpointed program counter — is the caller's job, e.g. the
+/// proxy-death rung of `workloads::run_supervised`). Then the §III-C
+/// restart procedure runs in place: fork a new proxy, re-create every
+/// object, upload the saved buffer contents.
 pub fn respawn_proxy_and_restore(
     cluster: &mut Cluster,
     lib: &mut ChecLib,

@@ -190,27 +190,16 @@ impl GlobalSnapshot {
 /// `ckpt_rank(cluster, pid, path)` performs one rank's snapshot and
 /// returns its file size; it is `blcr::checkpoint` for plain ranks or
 /// a `checl` checkpoint for OpenCL ranks.
+///
+/// The global snapshot is atomic: if any rank's local snapshot fails
+/// (disk fault, NFS outage), the local snapshots already written under
+/// `prefix` are deleted, the global-snapshot span is closed, and the
+/// attempt reports a [`SnapshotAbort`] naming the failed rank. Either a
+/// complete global snapshot lands or nothing does.
 pub fn coordinated_checkpoint<E>(
     cluster: &mut Cluster,
     world: &MpiWorld,
     prefix: &str,
-    ckpt_rank: impl FnMut(&mut Cluster, Pid, &str) -> Result<ByteSize, E>,
-) -> Result<GlobalSnapshot, E> {
-    coordinated_core(cluster, world, prefix, false, ckpt_rank).map_err(|abort| abort.error)
-}
-
-/// The single serialized-writer loop behind both coordination flavors.
-///
-/// With `rollback_on_error` the failure path is the atomic contract:
-/// delete the local snapshots already landed, trace the abort, close
-/// the global-snapshot span. Without it the error propagates
-/// immediately — earlier rank files stay on disk and the span stays
-/// open, exactly as a `?` out of the loop would leave things.
-fn coordinated_core<E>(
-    cluster: &mut Cluster,
-    world: &MpiWorld,
-    prefix: &str,
-    rollback_on_error: bool,
     mut ckpt_rank: impl FnMut(&mut Cluster, Pid, &str) -> Result<ByteSize, E>,
 ) -> Result<GlobalSnapshot, SnapshotAbort<E>> {
     world.barrier(cluster);
@@ -246,9 +235,6 @@ fn coordinated_core<E>(
                 sizes.push(size);
             }
             Err(error) => {
-                if !rollback_on_error {
-                    return Err(SnapshotAbort { rank, error });
-                }
                 server_free = cluster.process(pid).clock.max(server_free);
                 // Roll back the ranks that did land. Deletion may itself
                 // fail mid-outage; a leftover local snapshot under a
@@ -350,21 +336,7 @@ impl<E: std::fmt::Display> std::fmt::Display for SnapshotAbort<E> {
 
 impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for SnapshotAbort<E> {}
 
-/// [`coordinated_checkpoint`] with abort/rollback semantics: if any
-/// rank's local snapshot fails (disk fault, NFS outage), the local
-/// snapshots already written under `prefix` are deleted and the whole
-/// attempt reports a [`SnapshotAbort`] naming the failed rank. Either a
-/// complete global snapshot lands or nothing does.
-pub fn coordinated_checkpoint_atomic<E>(
-    cluster: &mut Cluster,
-    world: &MpiWorld,
-    prefix: &str,
-    ckpt_rank: impl FnMut(&mut Cluster, Pid, &str) -> Result<ByteSize, E>,
-) -> Result<GlobalSnapshot, SnapshotAbort<E>> {
-    coordinated_core(cluster, world, prefix, true, ckpt_rank)
-}
-
-/// Retry [`coordinated_checkpoint_atomic`] up to `max_attempts` times
+/// Retry [`coordinated_checkpoint`] up to `max_attempts` times
 /// with doubling virtual-time backoff charged to every rank — the
 /// job-level answer to a transient storage fault (an NFS outage window
 /// ends, the retry lands).
@@ -395,7 +367,7 @@ pub fn coordinated_checkpoint_with_retry<E>(
                 telemetry::counter_add("recovery.actions", 1);
             }
         }
-        match coordinated_checkpoint_atomic(cluster, world, prefix, &mut ckpt_rank) {
+        match coordinated_checkpoint(cluster, world, prefix, &mut ckpt_rank) {
             Ok(snapshot) => return Ok(snapshot),
             Err(abort) => last = Some(abort),
         }
@@ -726,6 +698,7 @@ mod tests {
 
     #[test]
     fn aborted_snapshot_rolls_back_earlier_ranks() {
+        telemetry::start_recording();
         let (mut cluster, world) = cluster_and_world(2, 3);
         // Rank 1's local snapshot fails; ranks write in rank order, so
         // rank 0's file is already on the shared store by then.
@@ -735,14 +708,14 @@ mod tests {
                 .only_paths_containing(".rank1."),
         );
         let abort =
-            coordinated_checkpoint_atomic(&mut cluster, &world, "/nfs/job", |c, p, path| {
-                blcr::checkpoint(c, p, path)
-            })
-            .unwrap_err();
+            coordinated_checkpoint(&mut cluster, &world, "/nfs/job", blcr::checkpoint).unwrap_err();
+        let rec = telemetry::stop_recording().unwrap();
         assert_eq!(abort.rank, 1);
         // Rank 0's partial contribution must be gone.
         let node0 = cluster.process(world.rank_pid(0)).node;
         assert_eq!(cluster.file_size_on(node0, "/nfs/job.rank0.ckpt"), None);
+        // And the aborted global-snapshot span is closed.
+        telemetry::validate(&rec.events).expect("aborted snapshot trace must validate");
     }
 
     #[test]

@@ -26,7 +26,5 @@ pub mod supervise;
 
 pub use catalog::{all_workloads, workload_by_name, Suite, Workload, WorkloadCfg};
 pub use script::{AppProgram, BufInit, Op, Reg, RunStatus, Script, StopCondition};
-pub use session::{
-    CheclSession, NativeSession, PolicyRunOutcome, RecoveryRunReport, YieldPoint, APP_SEGMENT,
-};
+pub use session::{CheclSession, NativeSession, PolicyRunOutcome, YieldPoint, APP_SEGMENT};
 pub use supervise::{run_supervised, SuperviseSetup};

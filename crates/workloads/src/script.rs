@@ -324,6 +324,16 @@ impl AppProgram {
         self.pc as usize >= self.script.ops.len()
     }
 
+    /// `true` when the next op is a `clFinish`: the program's natural
+    /// synchronization point, where a Delayed checkpoint fires
+    /// (§III-C).
+    pub(crate) fn at_sync_point(&self) -> bool {
+        matches!(
+            self.script.ops.get(self.pc as usize),
+            Some(Op::Finish { .. })
+        )
+    }
+
     fn reg(&self, r: Reg) -> u64 {
         self.regs[r as usize]
     }

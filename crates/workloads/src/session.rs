@@ -114,6 +114,19 @@ impl CheclSession {
         status
     }
 
+    /// Execute exactly one op, keeping the cluster clock coherent: the
+    /// op executor every op-at-a-time driver ([`CheclSession::run_step`],
+    /// [`CheclSession::run_with_cpr_policy`],
+    /// [`run_supervised`](crate::supervise::run_supervised)) goes
+    /// through. A failed op leaves the program counter where it was.
+    pub(crate) fn step(&mut self, cluster: &mut Cluster) -> ClResult<()> {
+        let _track = telemetry::track_scope(telemetry::Track::process(self.pid.0 as u64));
+        let mut now = cluster.process(self.pid).clock;
+        let step = self.program.step(&mut self.lib, &mut now);
+        cluster.process_mut(self.pid).clock = now;
+        step
+    }
+
     /// Virtual time elapsed since process start.
     pub fn elapsed(&self, cluster: &Cluster) -> SimDuration {
         cluster.process(self.pid).clock.since(SimTime::ZERO)
@@ -298,7 +311,6 @@ impl CheclSession {
         cluster: &mut Cluster,
         quantum: SimDuration,
     ) -> ClResult<YieldPoint> {
-        use crate::script::Op;
         let start = cluster.process(self.pid).clock;
         let mut executed = false;
         loop {
@@ -306,23 +318,14 @@ impl CheclSession {
                 return Ok(YieldPoint::Done);
             }
             if executed {
-                if matches!(
-                    self.program.script.ops[self.program.pc as usize],
-                    Op::Finish { .. }
-                ) {
+                if self.program.at_sync_point() {
                     return Ok(YieldPoint::Sync);
                 }
                 if cluster.process(self.pid).clock.since(start) >= quantum {
                     return Ok(YieldPoint::Quantum);
                 }
             }
-            let mut now = cluster.process(self.pid).clock;
-            let step = {
-                let _track = telemetry::track_scope(telemetry::Track::process(self.pid.0 as u64));
-                self.program.step(&mut self.lib, &mut now)
-            };
-            cluster.process_mut(self.pid).clock = now;
-            step?;
+            self.step(cluster)?;
             executed = true;
         }
     }
@@ -361,7 +364,6 @@ impl CheclSession {
         policy: &CprPolicy,
         path: &str,
     ) -> Result<PolicyRunOutcome, CheclCprError> {
-        use crate::script::Op;
         let mut armed = false;
         loop {
             if self.program.is_done() {
@@ -375,205 +377,11 @@ impl CheclSession {
             if cluster.process_mut(self.pid).poll_signal() == Some(osproc::Signal::Usr1) {
                 armed = true;
             }
-            if armed {
-                let at_sync_point = matches!(
-                    self.program.script.ops[self.program.pc as usize],
-                    Op::Finish { .. }
-                );
-                let take_now = match policy.trigger {
-                    checl::CheckpointMode::Immediate => true,
-                    checl::CheckpointMode::Delayed => at_sync_point,
-                };
-                if take_now {
-                    let outcome = self.checkpoint_with_policy(cluster, path, policy)?;
-                    return Ok(PolicyRunOutcome::Checkpointed(outcome));
-                }
+            if armed && policy.trigger.fires(self.program.at_sync_point()) {
+                let outcome = self.checkpoint_with_policy(cluster, path, policy)?;
+                return Ok(PolicyRunOutcome::Checkpointed(outcome));
             }
-            let mut now = cluster.process(self.pid).clock;
-            let step = {
-                let _track = telemetry::track_scope(telemetry::Track::process(self.pid.0 as u64));
-                self.program.step(&mut self.lib, &mut now)
-            };
-            cluster.process_mut(self.pid).clock = now;
-            step.map_err(CheclCprError::Cl)?;
-        }
-    }
-}
-
-/// What it took to run a program segment under fault injection.
-#[derive(Debug, PartialEq, Eq)]
-pub struct RecoveryRunReport {
-    /// How the segment ended.
-    pub status: RunStatus,
-    /// Proxy respawn + object-graph re-creation cycles performed.
-    pub respawns: u32,
-}
-
-impl CheclSession {
-    /// Run until `stop` while surviving API-proxy death and app↔proxy
-    /// pipe breakage.
-    ///
-    /// Scheduled process faults from the cluster's
-    /// [`FaultPlan`](osproc::FaultPlan) are delivered before each op;
-    /// when one strikes (or a step fails with `DeviceNotAvailable`),
-    /// the §III-C restart procedure runs in place: fork a new proxy,
-    /// re-create the object graph from `last_ckpt`, and roll the
-    /// interpreter back to the checkpointed program counter — device
-    /// work since the checkpoint died with the proxy, so re-executing
-    /// from the checkpoint is the only consistent continuation. The
-    /// final buffer contents are bit-exact with an undisturbed run.
-    ///
-    /// `last_ckpt` must name a checkpoint taken with
-    /// [`CheclSession::checkpoint_with_policy`] (so it carries the
-    /// program state).
-    /// At most `max_respawns` recoveries are attempted; a fault storm
-    /// beyond that surfaces as `DeviceNotAvailable`.
-    pub fn run_with_recovery(
-        &mut self,
-        cluster: &mut Cluster,
-        stop: StopCondition,
-        last_ckpt: &str,
-        vendor: &VendorConfig,
-        max_respawns: u32,
-    ) -> Result<RecoveryRunReport, CheclCprError> {
-        let mut respawns = 0u32;
-        loop {
-            if self.program.is_done() {
-                return Ok(RecoveryRunReport {
-                    status: RunStatus::Done,
-                    respawns,
-                });
-            }
-            // Deliver scheduled process faults that have come due.
-            let now = cluster.process(self.pid).clock;
-            let (proxy_dies, pipe_breaks) = match cluster.faults_mut() {
-                Some(plan) => (plan.proxy_death_due(now), plan.pipe_break_due(now)),
-                None => (false, false),
-            };
-            if proxy_dies {
-                if let Some(proxy) = self.lib.proxy_pid() {
-                    cluster.kill(proxy);
-                }
-                self.lib.break_pipe();
-            }
-            if pipe_breaks {
-                self.lib.break_pipe();
-            }
-            if self.lib.pipe_broken() || !self.lib.has_proxy() {
-                if respawns >= max_respawns {
-                    return Err(CheclCprError::Cl(
-                        clspec::error::ClError::DeviceNotAvailable,
-                    ));
-                }
-                respawns += 1;
-                self.recover(cluster, last_ckpt, vendor.clone())?;
-                continue;
-            }
-            let mut now = cluster.process(self.pid).clock;
-            let step = {
-                let _track = telemetry::track_scope(telemetry::Track::process(self.pid.0 as u64));
-                self.program.step(&mut self.lib, &mut now)
-            };
-            cluster.process_mut(self.pid).clock = now;
-            match step {
-                Ok(()) => {}
-                Err(clspec::error::ClError::DeviceNotAvailable) => {
-                    // The proxy died under the op (pc not advanced: a
-                    // failed step leaves the interpreter retryable).
-                    if respawns >= max_respawns {
-                        return Err(CheclCprError::Cl(
-                            clspec::error::ClError::DeviceNotAvailable,
-                        ));
-                    }
-                    respawns += 1;
-                    self.recover(cluster, last_ckpt, vendor.clone())?;
-                    continue;
-                }
-                Err(e) => return Err(CheclCprError::Cl(e)),
-            }
-            match stop {
-                StopCondition::Completion => {}
-                StopCondition::AfterKernel(n) => {
-                    if self.program.kernels_launched >= n {
-                        return Ok(RecoveryRunReport {
-                            status: RunStatus::Paused,
-                            respawns,
-                        });
-                    }
-                }
-                StopCondition::AfterOps(n) => {
-                    if self.program.pc >= n {
-                        return Ok(RecoveryRunReport {
-                            status: RunStatus::Paused,
-                            respawns,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// In-place recovery: respawn the proxy, restore the object graph
-    /// from `last_ckpt`, and roll the interpreter back to the program
-    /// state dumped in the same checkpoint.
-    fn recover(
-        &mut self,
-        cluster: &mut Cluster,
-        last_ckpt: &str,
-        vendor: VendorConfig,
-    ) -> Result<(), CheclCprError> {
-        checl::respawn_proxy_and_restore(
-            cluster,
-            &mut self.lib,
-            self.pid,
-            last_ckpt,
-            vendor,
-            RestoreTarget::default(),
-        )?;
-        self.program = reload_program(cluster, self.pid, last_ckpt)?;
-        Ok(())
-    }
-}
-
-/// Which `ClApi` implementation a generic runner should use — lets
-/// tests and benches run the same workload both ways.
-pub enum AnySession {
-    /// Direct vendor linking.
-    Native(Box<NativeSession>),
-    /// CheCL interposition.
-    Checl(Box<CheclSession>),
-}
-
-impl AnySession {
-    /// Run until `stop`.
-    pub fn run(&mut self, cluster: &mut Cluster, stop: StopCondition) -> ClResult<RunStatus> {
-        match self {
-            AnySession::Native(s) => s.run(cluster, stop),
-            AnySession::Checl(s) => s.run(cluster, stop),
-        }
-    }
-
-    /// The running program.
-    pub fn program(&self) -> &AppProgram {
-        match self {
-            AnySession::Native(s) => &s.program,
-            AnySession::Checl(s) => &s.program,
-        }
-    }
-
-    /// Elapsed virtual time.
-    pub fn elapsed(&self, cluster: &Cluster) -> SimDuration {
-        match self {
-            AnySession::Native(s) => s.elapsed(cluster),
-            AnySession::Checl(s) => s.elapsed(cluster),
-        }
-    }
-
-    /// The implementation name the app is (unknowingly) linked against.
-    pub fn impl_name(&self) -> String {
-        match self {
-            AnySession::Native(s) => s.driver.impl_name(),
-            AnySession::Checl(s) => s.lib.impl_name(),
+            self.step(cluster).map_err(CheclCprError::Cl)?;
         }
     }
 }

@@ -29,7 +29,7 @@ use checl::supervisor::{Supervisor, SupervisorConfig, SupervisorError, Superviso
 use checl::CprPolicy;
 use cldriver::VendorConfig;
 use osproc::{BeatSource, Cluster, NodeId};
-use simcore::{telemetry, SimDuration, SimTime};
+use simcore::{SimDuration, SimTime};
 
 /// Everything a supervised run needs beyond the session itself.
 #[derive(Clone, Debug)]
@@ -517,48 +517,31 @@ pub fn run_supervised(
                 }
             }
         }
-        if sup.checkpoint_due(now.since(commit_clock)) {
-            let at_sync_point = matches!(
-                session.program.script.ops[session.program.pc as usize],
-                crate::script::Op::Finish { .. }
-            );
-            let take_now = match setup.policy.trigger {
-                checl::CheckpointMode::Immediate => true,
-                checl::CheckpointMode::Delayed => at_sync_point,
-            };
-            if take_now {
-                match commit_checkpoint(
-                    cluster,
-                    &mut session,
-                    &mut vault,
-                    &mut sup,
-                    &setup.policy,
-                    &mut pending_live,
-                    epoch,
-                ) {
-                    Ok(t) => {
-                        commit_clock = t;
-                        continue;
-                    }
-                    Err(_) => {
-                        // A checkpoint that cannot commit is an incident
-                        // like any other: mark the proxy path broken and
-                        // let the repair ladder roll the session back.
-                        session.lib.break_pipe();
-                        sup.advance(cluster.process(session.pid).clock);
-                        continue;
-                    }
+        if sup.checkpoint_due(now.since(commit_clock))
+            && setup.policy.trigger.fires(session.program.at_sync_point())
+        {
+            match commit_checkpoint(
+                cluster,
+                &mut session,
+                &mut vault,
+                &mut sup,
+                &setup.policy,
+                &mut pending_live,
+                epoch,
+            ) {
+                Ok(t) => commit_clock = t,
+                Err(_) => {
+                    // A checkpoint that cannot commit is an incident
+                    // like any other: mark the proxy path broken and
+                    // let the repair ladder roll the session back.
+                    session.lib.break_pipe();
+                    sup.advance(cluster.process(session.pid).clock);
                 }
             }
+            continue;
         }
 
-        let mut op_clock = cluster.process(session.pid).clock;
-        let step = {
-            let _track = telemetry::track_scope(telemetry::Track::process(session.pid.0 as u64));
-            session.program.step(&mut session.lib, &mut op_clock)
-        };
-        cluster.process_mut(session.pid).clock = op_clock;
-        match step {
+        match session.step(cluster) {
             Ok(()) => {}
             Err(clspec::error::ClError::DeviceNotAvailable) => {
                 // The proxy died under the op; the pc did not advance.

@@ -400,36 +400,3 @@ fn scripts_are_deterministic() {
         assert_eq!(a, b, "{} script not deterministic", w.name);
     }
 }
-
-#[test]
-fn any_session_runs_both_ways() {
-    use workloads::session::AnySession;
-    let cfg = quick_cfg();
-    let w = workload_by_name("oclVectorAdd").unwrap();
-    let mut results = Vec::new();
-    for native in [true, false] {
-        let mut cluster = Cluster::with_standard_nodes(1);
-        let node = cluster.node_ids()[0];
-        let mut s = if native {
-            AnySession::Native(Box::new(NativeSession::launch(
-                &mut cluster,
-                node,
-                nimbus(),
-                w.script(&cfg),
-            )))
-        } else {
-            AnySession::Checl(Box::new(CheclSession::launch(
-                &mut cluster,
-                node,
-                nimbus(),
-                CheclConfig::default(),
-                w.script(&cfg),
-            )))
-        };
-        s.run(&mut cluster, StopCondition::Completion).unwrap();
-        assert!(s.elapsed(&cluster).as_secs_f64() > 0.0);
-        results.push((s.impl_name(), s.program().checksums.clone()));
-    }
-    assert_ne!(results[0].0, results[1].0);
-    assert_eq!(results[0].1, results[1].1);
-}

@@ -41,6 +41,14 @@ for bin in fig6_mpi fig7_restart ablation_incremental ablation_modes ablation_pr
     git diff --exit-code -- "results/BENCH_$bin.json"
 done
 
+echo "==> smoke: paper constants and host-pointer/remote ablations (golden diff)"
+# table1 prints the paper's Table I constants; the two ablations are
+# cheap, deterministic and regenerate byte-identically.
+for bin in table1 ablation_hostptr ablation_remote; do
+    cargo run -q --release -p checl-bench --bin "$bin" >/dev/null
+    git diff --exit-code -- "results/BENCH_$bin.json"
+done
+
 echo "==> smoke: fault-injection matrix (fixed seed, diffed against golden)"
 cargo run -q --release -p checl-bench --bin ablation_faults -- \
     --trace /tmp/faults.trace.json >/dev/null

@@ -10,7 +10,10 @@ use checl_repro as _;
 use osproc::{Cluster, FaultPlan, InjectedFault, Pid};
 use simcore::qcheck::{qcheck, Gen};
 use simcore::{SimDuration, SimTime};
-use workloads::{workload_by_name, CheclSession, NativeSession, StopCondition, WorkloadCfg};
+use workloads::{
+    run_supervised, workload_by_name, CheclSession, NativeSession, StopCondition, SuperviseSetup,
+    WorkloadCfg,
+};
 
 fn quick() -> WorkloadCfg {
     WorkloadCfg {
@@ -78,19 +81,14 @@ fn arbitrary_plan(g: &mut Gen, origin: SimTime) -> FaultPlan {
 }
 
 /// Run the gauntlet: checkpoint under the plan, then run to completion
-/// with recovery enabled. Both steps may fail — what matters is that
+/// under the supervisor. Both steps may fail — what matters is that
 /// they *return*. Yields the fault log, the final program checksums
-/// (empty when the run failed) and the final clock.
+/// (empty when the run escalated) and the final clock.
 fn gauntlet(plan: FaultPlan) -> (Vec<InjectedFault>, Vec<u64>, SimTime) {
     let mut cluster = Cluster::with_standard_nodes(2);
     let mut session = launch(&mut cluster);
     session
         .run(&mut cluster, StopCondition::AfterKernel(1))
-        .unwrap();
-    // The safety net is written before faults arm, so recovery always
-    // has a good file to fall back on.
-    session
-        .checkpoint_with_policy(&mut cluster, "/local/net.ckpt", &CprPolicy::sequential())
         .unwrap();
     cluster.install_faults(plan);
     let robust = CprPolicy::sequential().with_recovery(RecoveryPolicy {
@@ -98,19 +96,12 @@ fn gauntlet(plan: FaultPlan) -> (Vec<InjectedFault>, Vec<u64>, SimTime) {
         fallback_targets: vec!["/local/g.ckpt".to_string()],
     });
     let _ = session.checkpoint_with_policy(&mut cluster, "/nfs/g.ckpt", &robust);
-    let vendor = cldriver::vendor::nimbus();
-    let outcome = session.run_with_recovery(
-        &mut cluster,
-        StopCondition::Completion,
-        "/local/net.ckpt",
-        &vendor,
-        6,
-    );
-    let checksums = match outcome {
-        Ok(_) => session.program.checksums.clone(),
-        Err(_) => Vec::new(),
+    let pid = session.pid;
+    let setup = SuperviseSetup::new(cldriver::vendor::nimbus(), "/local/sup", "/nfs/sup");
+    let (checksums, clock) = match run_supervised(&mut cluster, session, &setup) {
+        Ok((done, _report)) => (done.program.checksums, cluster.process(done.pid).clock),
+        Err(_) => (Vec::new(), cluster.process(pid).clock),
     };
-    let clock = cluster.process(session.pid).clock;
     (
         cluster.take_faults().unwrap().log().to_vec(),
         checksums,
@@ -121,11 +112,16 @@ fn gauntlet(plan: FaultPlan) -> (Vec<InjectedFault>, Vec<u64>, SimTime) {
 /// Any seeded fault plan — probabilistic mangling, scripted bursts,
 /// outage windows, process faults — leaves the run terminating
 /// normally: every fault either recovers or surfaces as a typed error.
+/// A run that completes is bit-exact with an undisturbed one.
 #[test]
 fn any_fault_plan_terminates() {
+    let golden = golden_checksums();
     qcheck("any_fault_plan_terminates", 24, |g| {
         let plan = arbitrary_plan(g, SimTime::ZERO);
-        let (_log, _sums, _clock) = gauntlet(plan);
+        let (_log, sums, _clock) = gauntlet(plan);
+        if !sums.is_empty() {
+            assert_eq!(sums, golden, "a completed run must be bit-exact");
+        }
     });
 }
 
@@ -159,9 +155,6 @@ fn recovered_run_is_bit_exact() {
         session
             .run(&mut cluster, StopCondition::AfterKernel(1))
             .unwrap();
-        session
-            .checkpoint_with_policy(&mut cluster, "/local/r.ckpt", &CprPolicy::sequential())
-            .unwrap();
         let now = cluster.process(session.pid).clock;
         // At least one proxy death due immediately; maybe more later.
         let mut plan = FaultPlan::new(g.u64()).schedule_proxy_death(now);
@@ -169,17 +162,10 @@ fn recovered_run_is_bit_exact() {
             plan = plan.schedule_proxy_death(now + SimDuration::from_millis(g.range(1, 20)));
         }
         cluster.install_faults(plan);
-        let vendor = cldriver::vendor::nimbus();
-        let report = session
-            .run_with_recovery(
-                &mut cluster,
-                StopCondition::Completion,
-                "/local/r.ckpt",
-                &vendor,
-                8,
-            )
+        let setup = SuperviseSetup::new(cldriver::vendor::nimbus(), "/local/r", "/nfs/r");
+        let (session, report) = run_supervised(&mut cluster, session, &setup)
             .expect("recovery from a committed checkpoint must succeed");
-        assert!(report.respawns >= 1, "the scheduled death must have fired");
+        assert!(report.repairs >= 1, "the scheduled death must have fired");
         assert_eq!(
             session.program.checksums, golden,
             "recovered contents must match the undisturbed run"
