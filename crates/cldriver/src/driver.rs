@@ -129,9 +129,20 @@ enum EngineKind {
     Dma,
 }
 
-/// `(argument index, vendor buffer handle)` pairs whose mutated data
-/// must be copied back to device memory after a launch.
-type WritebackList = Vec<(usize, u64)>;
+/// `(argument index, vendor buffer handle)` pairs whose device buffer
+/// `Vec` was lent to the engine for a launch.
+type LentList = Vec<(usize, u64)>;
+
+/// Hand every lent buffer back to device memory, whatever the launch's
+/// outcome. Nothing releases a buffer between lending and return, so
+/// each handle is still there to take its bytes back.
+fn return_lent(buffers: &mut BTreeMap<u64, BufObj>, args: &mut [ArgData], lent: &LentList) {
+    for &(i, h) in lent {
+        if let (Some(buf), Some(ArgData::Buffer(data))) = (buffers.get_mut(&h), args.get_mut(i)) {
+            buf.data = std::mem::take(data);
+        }
+    }
+}
 
 /// A vendor OpenCL driver instance.
 ///
@@ -259,10 +270,6 @@ impl Driver {
 
     fn program(&self, h: Program) -> ClResult<&ProgObj> {
         self.programs.get(&h.raw().0).ok_or(ClError::InvalidProgram)
-    }
-
-    fn kernel(&self, h: Kernel) -> ClResult<&KernelObj> {
-        self.kernels.get(&h.raw().0).ok_or(ClError::InvalidKernel)
     }
 
     fn event(&self, h: Event) -> ClResult<&EventObj> {
@@ -723,18 +730,27 @@ impl Driver {
         Ok(ApiResponse::Unit)
     }
 
-    /// Resolve bound arguments against the kernel signature, returning
-    /// engine-ready data plus the list of buffer handles to write back
-    /// (as `(arg index, vendor buffer handle)` pairs).
+    /// Resolve bound arguments against the kernel signature into
+    /// engine-ready data, lending device buffers instead of copying
+    /// them. Returns the args plus the `(arg index, vendor buffer
+    /// handle)` pairs whose `Vec` was lent, for [`return_lent`].
     ///
-    /// Buffer contents are copied in and out of the engine per launch.
-    /// That is O(buffer size) of memcpy on the simulator's hot path —
-    /// accepted deliberately: it keeps the engine free of aliasing
-    /// concerns (the same buffer may be bound to several parameters)
-    /// and failed launches can never leave device memory half-moved.
-    fn resolve_args(&self, k: &KernelObj) -> ClResult<(Vec<ArgData>, WritebackList)> {
+    /// Resolution runs in two passes. The first validates every
+    /// argument and touches no buffer, so a launch that fails to
+    /// resolve moves nothing. The second lends each bound buffer's
+    /// bytes with `std::mem::take`. When one `cl_mem` is bound to
+    /// several parameters, only its last binding gets the lent `Vec`;
+    /// earlier bindings get a clone of the pre-launch bytes. That keeps
+    /// the semantics of copying every binding in and writing them back
+    /// in argument order: inputs see pre-launch bytes and the last
+    /// binding decides what device memory holds afterwards.
+    fn resolve_args(
+        k: &KernelObj,
+        buffers: &mut BTreeMap<u64, BufObj>,
+        samplers: &BTreeMap<u64, SamplerObj>,
+    ) -> ClResult<(Vec<ArgData>, LentList)> {
         let mut out = Vec::with_capacity(k.sig.params.len());
-        let mut writeback = Vec::new();
+        let mut bound = Vec::new();
         for (i, p) in k.sig.params.iter().enumerate() {
             let v = k.args.get(&(i as u32)).ok_or(ClError::InvalidKernelArgs)?;
             match &p.kind {
@@ -743,7 +759,7 @@ impl Driver {
                 | ParamKind::Image2d
                 | ParamKind::Image3d => {
                     let h = v.as_handle().ok_or(ClError::InvalidArgValue)?;
-                    let buf = self.buffers.get(&h.0).ok_or(ClError::InvalidMemObject)?;
+                    let buf = buffers.get(&h.0).ok_or(ClError::InvalidMemObject)?;
                     // Buffers and images are distinct cl_mem flavours:
                     // binding one where the kernel expects the other is
                     // rejected, as real drivers do.
@@ -751,12 +767,13 @@ impl Driver {
                     if wants_image != buf.image_dims.is_some() {
                         return Err(ClError::InvalidArgValue);
                     }
-                    writeback.push((i, h.0));
-                    out.push(ArgData::Buffer(buf.data.clone()));
+                    bound.push((i, h.0));
+                    // Filled in by the lending pass below.
+                    out.push(ArgData::Buffer(Vec::new()));
                 }
                 ParamKind::Sampler => {
                     let h = v.as_handle().ok_or(ClError::InvalidArgValue)?;
-                    if !self.samplers.contains_key(&h.0) {
+                    if !samplers.contains_key(&h.0) {
                         return Err(ClError::InvalidSampler);
                     }
                     out.push(ArgData::Scalar(h.0.to_le_bytes().to_vec()));
@@ -777,7 +794,7 @@ impl Driver {
                                 return Err(ClError::InvalidArgSize);
                             }
                             let word = u64::from_le_bytes(b[..8].try_into().unwrap());
-                            if !self.buffers.contains_key(&word) {
+                            if !buffers.contains_key(&word) {
                                 return Err(ClError::InvalidMemObject);
                             }
                         }
@@ -787,7 +804,20 @@ impl Driver {
                 },
             }
         }
-        Ok((out, writeback))
+        // Every argument is valid: lend from here on, infallibly.
+        let mut lent = Vec::with_capacity(bound.len());
+        for (n, &(i, h)) in bound.iter().enumerate() {
+            let last = !bound[n + 1..].iter().any(|&(_, later)| later == h);
+            if let (Some(buf), ArgData::Buffer(slot)) = (buffers.get_mut(&h), &mut out[i]) {
+                if last {
+                    *slot = std::mem::take(&mut buf.data);
+                    lent.push((i, h));
+                } else {
+                    slot.clone_from(&buf.data);
+                }
+            }
+        }
+        Ok((out, lent))
     }
 
     fn enqueue_nd_range(
@@ -799,9 +829,7 @@ impl Driver {
         local: Option<NDRange>,
         wait_list: &[Event],
     ) -> ClResult<ApiResponse> {
-        let q = self.queue(queue)?;
-        let dev_slot = q.device;
-        let profile = self.devices[dev_slot].profile.clone();
+        let profile = &self.devices[self.queue(queue)?.device].profile;
         if let Some(l) = local {
             if l.total() > profile.max_work_group_size || l.sizes[0] > profile.max_work_group_size {
                 // E.g. oclSortingNetworks requesting 1024-wide groups on
@@ -809,29 +837,27 @@ impl Driver {
                 return Err(ClError::InvalidWorkGroupSize);
             }
         }
-        let k = self.kernel(kernel)?;
-        let name = k.sig.name.clone();
-        let (mut args, writeback) = self.resolve_args(k)?;
+        let k = self
+            .kernels
+            .get(&kernel.raw().0)
+            .ok_or(ClError::InvalidKernel)?;
+        let spec = kernel_cost_spec(&k.sig.name);
+        let items = global.total();
+        let duration = profile.kernel_time(spec.total_flops(items), spec.total_bytes(items))
+            + profile.launch_overhead;
 
-        execute(&name, global.sizes, &mut args).map_err(|e| match e {
+        let (mut args, lent) = Self::resolve_args(k, &mut self.buffers, &self.samplers)?;
+        let ran = execute(&k.sig.name, global.sizes, &mut args);
+        // Kernels validate before they write, so on failure the lent
+        // buffers come back unchanged; on success they carry the results.
+        return_lent(&mut self.buffers, &mut args, &lent);
+        ran.map_err(|e| match e {
             clkernels::ExecError::UnknownKernel(_) => ClError::InvalidKernelName,
             clkernels::ExecError::ArgCount { .. } => ClError::InvalidKernelArgs,
             clkernels::ExecError::ArgType { .. } => ClError::InvalidArgValue,
             clkernels::ExecError::BufferTooSmall { .. } => ClError::InvalidArgSize,
         })?;
 
-        // Write mutated buffer args back to device memory.
-        for (arg_idx, buf_h) in writeback {
-            if let ArgData::Buffer(data) = &args[arg_idx] {
-                let buf = self.buffers.get_mut(&buf_h).expect("buffer vanished");
-                buf.data.clone_from(data);
-            }
-        }
-
-        let spec = kernel_cost_spec(&name);
-        let items = global.total();
-        let duration = profile.kernel_time(spec.total_flops(items), spec.total_bytes(items))
-            + profile.launch_overhead;
         let (event, _end) = self.schedule(
             queue,
             *now,

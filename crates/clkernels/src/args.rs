@@ -1,8 +1,12 @@
 //! Resolved kernel arguments as the execution engine sees them.
 //!
 //! By the time a launch reaches the engine, the driver has resolved
-//! every `cl_mem` handle to buffer bytes. The engine mutates buffer
-//! args in place; the driver copies results back to device memory.
+//! every `cl_mem` handle to buffer bytes. A buffer arg holds the
+//! device buffer's own `Vec`, lent to the engine for the launch and
+//! handed back afterwards, so nothing is copied in or out. Kernels
+//! read and write it in place through [`ArgData::buffer`] and
+//! [`ArgData::buffer_mut`]; the latter yields a slice, so a kernel can
+//! change a lent buffer's bytes but never its length.
 
 use std::fmt;
 
@@ -32,8 +36,9 @@ impl ArgData {
         }
     }
 
-    /// Mutably borrow buffer bytes.
-    pub fn buffer_mut(&mut self) -> Result<&mut Vec<u8>, ExecError> {
+    /// Mutably borrow buffer bytes. The slice has the buffer's fixed
+    /// length: kernels write in place and never resize.
+    pub fn buffer_mut(&mut self) -> Result<&mut [u8], ExecError> {
         match self {
             ArgData::Buffer(b) => Ok(b),
             other => Err(ExecError::ArgType {
@@ -77,7 +82,7 @@ impl ArgData {
         }
     }
 
-    fn kind_name(&self) -> &'static str {
+    pub(crate) fn kind_name(&self) -> &'static str {
         match self {
             ArgData::Buffer(_) => "buffer",
             ArgData::Scalar(_) => "scalar",
@@ -150,8 +155,10 @@ mod tests {
     fn buffer_accessors_validate() {
         let mut b = ArgData::Buffer(vec![1, 2]);
         assert_eq!(b.buffer().unwrap(), &[1, 2]);
-        b.buffer_mut().unwrap().push(3);
-        assert_eq!(b.buffer().unwrap(), &[1, 2, 3]);
+        b.buffer_mut().unwrap()[1] = 3;
+        assert_eq!(b.buffer().unwrap(), &[1, 3]);
+        assert_eq!(b.buffer_mut().unwrap().len(), 2);
         assert!(ArgData::Local(64).buffer().is_err());
+        assert!(ArgData::Scalar(vec![0; 4]).buffer_mut().is_err());
     }
 }

@@ -10,14 +10,26 @@
 //! floating-point results are reproducible across runs and platforms
 //! (`f32` arithmetic on the host is IEEE-754 and unaffected by the
 //! virtual-time model).
+//!
+//! Kernels compute in place on the buffer bytes they are given: inputs
+//! are read as little-endian lanes straight from the borrowed bytes and
+//! results are written straight into the output bytes (see
+//! [`crate::f32util`]). Only the permuting kernels (`radix_sort`,
+//! `fft_radix2`) decode their first `n` lanes into scratch. Every
+//! kernel validates all of its arguments before it writes a byte, so a
+//! launch that fails leaves its buffers untouched.
 
 use crate::args::{ArgData, ExecError};
-use crate::f32util::{to_f32_vec, to_u32_vec, write_f32s, write_u32s};
+use crate::f32util::{
+    f32_at, f32_lanes, lanes, lanes_mut, set_f32, set_u32, store_f32s, store_u32s, u32_at,
+    u32_lanes, Lane,
+};
 
 /// Execute `name` over `global` work items with the given arguments.
 ///
 /// `global` is `[x, y, z]` work-item counts. Buffer arguments are
-/// mutated in place.
+/// read and written in place; bytes past what the launch uses are
+/// never touched.
 pub fn execute(name: &str, global: [u64; 3], args: &mut [ArgData]) -> Result<(), ExecError> {
     if let Some(idx) = name.strip_prefix("rate_") {
         let k: u32 = idx
@@ -62,25 +74,47 @@ pub fn execute(name: &str, global: [u64; 3], args: &mut [ArgData]) -> Result<(),
     }
 }
 
-fn expect_args(args: &[ArgData], n: usize) -> Result<(), ExecError> {
-    if args.len() != n {
-        return Err(ExecError::ArgCount {
-            expected: n,
-            got: args.len(),
-        });
-    }
-    Ok(())
+/// The args as exactly `N` separately borrowable arguments.
+fn arity<const N: usize>(args: &mut [ArgData]) -> Result<&mut [ArgData; N], ExecError> {
+    let got = args.len();
+    args.try_into()
+        .map_err(|_| ExecError::ArgCount { expected: N, got })
 }
 
-fn check_len(arg_index: usize, buf: &[u8], needed: usize) -> Result<(), ExecError> {
-    if buf.len() < needed {
-        return Err(ExecError::BufferTooSmall {
-            arg_index,
-            needed,
-            actual: buf.len(),
-        });
+/// Argument `index`'s buffer as the first `needed` lanes, the ones the
+/// launch reads.
+fn input(arg: &ArgData, index: usize, needed: usize) -> Result<&[Lane], ExecError> {
+    let buf = arg.buffer()?;
+    lanes(buf).get(..needed).ok_or(ExecError::BufferTooSmall {
+        arg_index: index,
+        needed: needed * 4,
+        actual: buf.len(),
+    })
+}
+
+/// Argument `index`'s buffer as the first `needed` lanes, the ones the
+/// launch writes (and, for in-place kernels, reads).
+fn output(arg: &mut ArgData, index: usize, needed: usize) -> Result<&mut [Lane], ExecError> {
+    let buf = arg.buffer_mut()?;
+    let actual = buf.len();
+    lanes_mut(buf)
+        .get_mut(..needed)
+        .ok_or(ExecError::BufferTooSmall {
+            arg_index: index,
+            needed: needed * 4,
+            actual,
+        })
+}
+
+/// Reject anything but the 8-byte opaque handle a sampler arrives as.
+fn expect_sampler(arg: &ArgData) -> Result<(), ExecError> {
+    match arg {
+        ArgData::Scalar(b) if b.len() == 8 => Ok(()),
+        _ => Err(ExecError::ArgType {
+            expected: "8-byte sampler handle",
+            got: "other",
+        }),
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -88,62 +122,50 @@ fn check_len(arg_index: usize, buf: &[u8], needed: usize) -> Result<(), ExecErro
 // ---------------------------------------------------------------------
 
 fn k_vec_add(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[3].scalar_u32()? as usize;
-    let a = to_f32_vec(args[0].buffer()?);
-    let b = to_f32_vec(args[1].buffer()?);
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    check_len(2, args[2].buffer()?, n * 4)?;
-    let c: Vec<f32> = (0..n).map(|i| a[i] + b[i]).collect();
-    write_f32s(args[2].buffer_mut()?, &c);
+    let [a, b, c, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let (a, b) = (input(a, 0, n)?, input(b, 1, n)?);
+    let c = output(c, 2, n)?;
+    store_f32s(c, f32_lanes(a).zip(f32_lanes(b)).map(|(a, b)| a + b));
     Ok(())
 }
 
 fn k_triad(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 5)?;
-    let s = args[3].scalar_f32()?;
-    let n = args[4].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    let b = to_f32_vec(args[1].buffer()?);
-    let c = to_f32_vec(args[2].buffer()?);
-    check_len(1, args[1].buffer()?, n * 4)?;
-    check_len(2, args[2].buffer()?, n * 4)?;
-    let a: Vec<f32> = (0..n).map(|i| b[i] + s * c[i]).collect();
-    write_f32s(args[0].buffer_mut()?, &a);
+    let [a, b, c, s, n] = arity(args)?;
+    let s = s.scalar_f32()?;
+    let n = n.scalar_u32()? as usize;
+    let a = output(a, 0, n)?;
+    let (b, c) = (input(b, 1, n)?, input(c, 2, n)?);
+    store_f32s(a, f32_lanes(b).zip(f32_lanes(c)).map(|(b, c)| b + s * c));
     Ok(())
 }
 
 fn k_copy_buf(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 3)?;
-    let n = args[2].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    let src = args[0].buffer()?[..n * 4].to_vec();
-    args[1].buffer_mut()?[..n * 4].copy_from_slice(&src);
+    let [src, dst, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let src = input(src, 0, n)?;
+    output(dst, 1, n)?.copy_from_slice(src);
     Ok(())
 }
 
 fn k_null(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 1)?;
-    args[0].buffer()?;
+    let [buf] = arity(args)?;
+    buf.buffer()?;
     Ok(())
 }
 
 fn k_max_flops(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 3)?;
-    let n = args[1].scalar_u32()? as usize;
-    let iters = args[2].scalar_u32()?;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    let mut data = to_f32_vec(args[0].buffer()?);
-    for x in data.iter_mut().take(n) {
-        let mut v = *x;
+    let [data, n, iters] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let iters = iters.scalar_u32()?;
+    let data = output(data, 0, n)?;
+    for i in 0..n {
+        let mut v = f32_at(data, i);
         for _ in 0..iters {
             v = v * 1.000_001 + 0.000_000_1;
         }
-        *x = v;
+        set_f32(data, i, v);
     }
-    write_f32s(args[0].buffer_mut()?, &data);
     Ok(())
 }
 
@@ -152,42 +174,31 @@ fn k_max_flops(args: &mut [ArgData]) -> Result<(), ExecError> {
 // ---------------------------------------------------------------------
 
 fn k_reduce_sum(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, 4)?;
-    match &args[2] {
-        ArgData::Local(_) => {}
-        other => {
-            return Err(ExecError::ArgType {
-                expected: "local scratch",
-                got: match other {
-                    ArgData::Buffer(_) => "buffer",
-                    ArgData::Scalar(_) => "scalar",
-                    ArgData::Local(_) => unreachable!(),
-                },
-            })
-        }
+    let [data, out, scratch, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let data = input(data, 0, n)?;
+    let out = output(out, 1, 1)?;
+    if !matches!(scratch, ArgData::Local(_)) {
+        return Err(ExecError::ArgType {
+            expected: "local scratch",
+            got: scratch.kind_name(),
+        });
     }
-    let input = to_f32_vec(args[0].buffer()?);
-    let sum: f32 = input[..n].iter().sum();
-    write_f32s(args[1].buffer_mut()?, &[sum]);
+    let sum: f32 = f32_lanes(data).sum();
+    set_f32(out, 0, sum);
     Ok(())
 }
 
 fn k_scan_exclusive(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    let input = to_f32_vec(args[0].buffer()?);
-    let mut out = Vec::with_capacity(n);
+    let [data, out, _scratch, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let data = input(data, 0, n)?;
+    let out = output(out, 1, n)?;
     let mut acc = 0.0f32;
-    for v in input.iter().take(n) {
-        out.push(acc);
-        acc += v;
+    for i in 0..n {
+        set_f32(out, i, acc);
+        acc += f32_at(data, i);
     }
-    write_f32s(args[1].buffer_mut()?, &out);
     Ok(())
 }
 
@@ -195,37 +206,40 @@ fn k_bitonic_sort(args: &mut [ArgData]) -> Result<(), ExecError> {
     // One compare-exchange pass of the bitonic network; the benchmark
     // launches O(log² n) of these — making oclSortingNetworks one of the
     // "API-chatty" programs whose proxy overhead Fig. 4 highlights.
-    expect_args(args, 4)?;
-    let n = args[1].scalar_u32()? as usize;
-    let stage = args[2].scalar_u32()?;
-    let pass = args[3].scalar_u32()?;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    let mut keys = to_u32_vec(args[0].buffer()?);
+    let [keys, n, stage, pass] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let stage = stage.scalar_u32()?;
+    let pass = pass.scalar_u32()?;
+    let keys = output(keys, 0, n)?;
     let block = 1usize << (stage + 1);
     let dist = 1usize << pass;
+    // Each lane pairs with at most one partner per pass, so exchanging
+    // lanes in place is the same as exchanging in a decoded copy.
     for i in 0..n {
         let partner = i ^ dist;
         if partner > i && partner < n {
             let ascending = (i & block) == 0;
-            if (keys[i] > keys[partner]) == ascending {
-                keys.swap(i, partner);
+            let (ki, kp) = (u32_at(keys, i), u32_at(keys, partner));
+            if (ki > kp) == ascending {
+                set_u32(keys, i, kp);
+                set_u32(keys, partner, ki);
             }
         }
     }
-    write_u32s(args[0].buffer_mut()?, &keys);
     Ok(())
 }
 
 fn k_radix_sort(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 2)?;
-    let n = args[1].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    let mut keys = to_u32_vec(args[0].buffer()?);
+    let [buf, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let buf = output(buf, 0, n)?;
+    // A permutation needs scratch: decode the first n lanes once.
+    let mut keys: Vec<u32> = u32_lanes(buf).collect();
     // LSD radix, 8 bits per pass — the actual algorithm, not a stand-in.
     let mut aux = vec![0u32; n];
     for shift in [0u32, 8, 16, 24] {
         let mut counts = [0usize; 256];
-        for &k in keys.iter().take(n) {
+        for &k in &keys {
             counts[((k >> shift) & 0xff) as usize] += 1;
         }
         let mut offsets = [0usize; 256];
@@ -234,14 +248,14 @@ fn k_radix_sort(args: &mut [ArgData]) -> Result<(), ExecError> {
             *o = acc;
             acc += c;
         }
-        for &k in keys.iter().take(n) {
+        for &k in &keys {
             let d = ((k >> shift) & 0xff) as usize;
             aux[offsets[d]] = k;
             offsets[d] += 1;
         }
-        keys[..n].copy_from_slice(&aux[..n]);
+        keys.copy_from_slice(&aux);
     }
-    write_u32s(args[0].buffer_mut()?, &keys);
+    store_u32s(buf, keys);
     Ok(())
 }
 
@@ -250,27 +264,25 @@ fn k_radix_sort(args: &mut [ArgData]) -> Result<(), ExecError> {
 // ---------------------------------------------------------------------
 
 fn k_transpose(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let w = args[2].scalar_u32()? as usize;
-    let h = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, w * h * 4)?;
-    check_len(1, args[1].buffer()?, w * h * 4)?;
-    let input = to_f32_vec(args[0].buffer()?);
-    let mut out = vec![0.0f32; w * h];
+    let [src, dst, w, h] = arity(args)?;
+    let w = w.scalar_u32()? as usize;
+    let h = h.scalar_u32()? as usize;
+    let src = input(src, 0, w * h)?;
+    let dst = output(dst, 1, w * h)?;
     for y in 0..h {
         for x in 0..w {
-            out[x * h + y] = input[y * w + x];
+            set_f32(dst, x * h + y, f32_at(src, y * w + x));
         }
     }
-    write_f32s(args[1].buffer_mut()?, &out);
     Ok(())
 }
 
+/// `c = alpha·(a × b) + beta·c` over the first `m·n` lanes of `c`.
 #[allow(clippy::too_many_arguments)] // the BLAS gemm signature
 fn gemm_core(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
+    a: &[Lane],
+    b: &[Lane],
+    c: &mut [Lane],
     m: usize,
     n: usize,
     k: usize,
@@ -281,60 +293,58 @@ fn gemm_core(
         for col in 0..n {
             let mut acc = 0.0f32;
             for l in 0..k {
-                acc += a[row * k + l] * b[l * n + col];
+                acc += f32_at(a, row * k + l) * f32_at(b, l * n + col);
             }
-            c[row * n + col] = alpha * acc + beta * c[row * n + col];
+            let prior = f32_at(c, row * n + col);
+            set_f32(c, row * n + col, alpha * acc + beta * prior);
         }
     }
 }
 
 fn k_matmul(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 6)?;
-    let m = args[3].scalar_u32()? as usize;
-    let n = args[4].scalar_u32()? as usize;
-    let k = args[5].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, m * k * 4)?;
-    check_len(1, args[1].buffer()?, k * n * 4)?;
-    check_len(2, args[2].buffer()?, m * n * 4)?;
-    let a = to_f32_vec(args[0].buffer()?);
-    let b = to_f32_vec(args[1].buffer()?);
-    let mut c = vec![0.0f32; m * n];
-    gemm_core(&a, &b, &mut c, m, n, k, 1.0, 0.0);
-    write_f32s(args[2].buffer_mut()?, &c);
+    let [a, b, c, m, n, k] = arity(args)?;
+    let m = m.scalar_u32()? as usize;
+    let n = n.scalar_u32()? as usize;
+    let k = k.scalar_u32()? as usize;
+    let a = input(a, 0, m * k)?;
+    let b = input(b, 1, k * n)?;
+    let c = output(c, 2, m * n)?;
+    // matmul ignores c's old contents: gemm with beta = 0 over zeros.
+    c.fill([0; 4]);
+    gemm_core(a, b, c, m, n, k, 1.0, 0.0);
     Ok(())
 }
 
 fn k_sgemm(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 8)?;
-    let m = args[3].scalar_u32()? as usize;
-    let n = args[4].scalar_u32()? as usize;
-    let k = args[5].scalar_u32()? as usize;
-    let alpha = args[6].scalar_f32()?;
-    let beta = args[7].scalar_f32()?;
-    check_len(0, args[0].buffer()?, m * k * 4)?;
-    check_len(1, args[1].buffer()?, k * n * 4)?;
-    check_len(2, args[2].buffer()?, m * n * 4)?;
-    let a = to_f32_vec(args[0].buffer()?);
-    let b = to_f32_vec(args[1].buffer()?);
-    let mut c = to_f32_vec(args[2].buffer()?);
-    gemm_core(&a, &b, &mut c[..m * n], m, n, k, alpha, beta);
-    write_f32s(args[2].buffer_mut()?, &c[..m * n]);
+    let [a, b, c, m, n, k, alpha, beta] = arity(args)?;
+    let m = m.scalar_u32()? as usize;
+    let n = n.scalar_u32()? as usize;
+    let k = k.scalar_u32()? as usize;
+    let alpha = alpha.scalar_f32()?;
+    let beta = beta.scalar_f32()?;
+    let a = input(a, 0, m * k)?;
+    let b = input(b, 1, k * n)?;
+    let c = output(c, 2, m * n)?;
+    gemm_core(a, b, c, m, n, k, alpha, beta);
     Ok(())
 }
 
 fn k_matvec(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 5)?;
-    let rows = args[3].scalar_u32()? as usize;
-    let cols = args[4].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, rows * cols * 4)?;
-    check_len(1, args[1].buffer()?, cols * 4)?;
-    check_len(2, args[2].buffer()?, rows * 4)?;
-    let mat = to_f32_vec(args[0].buffer()?);
-    let vec = to_f32_vec(args[1].buffer()?);
-    let out: Vec<f32> = (0..rows)
-        .map(|r| (0..cols).map(|c| mat[r * cols + c] * vec[c]).sum())
-        .collect();
-    write_f32s(args[2].buffer_mut()?, &out);
+    let [mat, vec, out, rows, cols] = arity(args)?;
+    let rows = rows.scalar_u32()? as usize;
+    let cols = cols.scalar_u32()? as usize;
+    let mat = input(mat, 0, rows * cols)?;
+    let vec = input(vec, 1, cols)?;
+    let out = output(out, 2, rows)?;
+    store_f32s(
+        out,
+        (0..rows).map(|r| {
+            f32_lanes(&mat[r * cols..(r + 1) * cols])
+                .zip(f32_lanes(vec))
+                .map(|(m, v)| m * v)
+                .sum()
+        }),
+    );
     Ok(())
 }
 
@@ -359,45 +369,37 @@ fn cnd(d: f32) -> f32 {
 }
 
 fn k_black_scholes(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 8)?;
-    let r = args[5].scalar_f32()?;
-    let v = args[6].scalar_f32()?;
-    let n = args[7].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    check_len(2, args[2].buffer()?, n * 4)?;
-    check_len(3, args[3].buffer()?, n * 4)?;
-    check_len(4, args[4].buffer()?, n * 4)?;
-    let s = to_f32_vec(args[2].buffer()?);
-    let x = to_f32_vec(args[3].buffer()?);
-    let t = to_f32_vec(args[4].buffer()?);
-    let mut call = vec![0.0f32; n];
-    let mut put = vec![0.0f32; n];
+    let [call, put, s, x, t, r, v, n] = arity(args)?;
+    let r = r.scalar_f32()?;
+    let v = v.scalar_f32()?;
+    let n = n.scalar_u32()? as usize;
+    let (call, put) = (output(call, 0, n)?, output(put, 1, n)?);
+    let (s, x, t) = (input(s, 2, n)?, input(x, 3, n)?, input(t, 4, n)?);
     for i in 0..n {
-        let sq = t[i].sqrt();
-        let d1 = ((s[i] / x[i]).ln() + (r + 0.5 * v * v) * t[i]) / (v * sq);
+        let (s, x, t) = (f32_at(s, i), f32_at(x, i), f32_at(t, i));
+        let sq = t.sqrt();
+        let d1 = ((s / x).ln() + (r + 0.5 * v * v) * t) / (v * sq);
         let d2 = d1 - v * sq;
-        let e = x[i] * (-r * t[i]).exp();
-        call[i] = s[i] * cnd(d1) - e * cnd(d2);
-        put[i] = e * cnd(-d2) - s[i] * cnd(-d1);
+        let e = x * (-r * t).exp();
+        set_f32(call, i, s * cnd(d1) - e * cnd(d2));
+        set_f32(put, i, e * cnd(-d2) - s * cnd(-d1));
     }
-    write_f32s(args[0].buffer_mut()?, &call);
-    write_f32s(args[1].buffer_mut()?, &put);
     Ok(())
 }
 
 fn k_dot_product(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 16)?;
-    check_len(1, args[1].buffer()?, n * 16)?;
-    check_len(2, args[2].buffer()?, n * 4)?;
-    let a = to_f32_vec(args[0].buffer()?);
-    let b = to_f32_vec(args[1].buffer()?);
-    let c: Vec<f32> = (0..n)
-        .map(|i| (0..4).map(|j| a[4 * i + j] * b[4 * i + j]).sum())
-        .collect();
-    write_f32s(args[2].buffer_mut()?, &c);
+    let [a, b, c, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let (a, b) = (input(a, 0, n * 4)?, input(b, 1, n * 4)?);
+    let c = output(c, 2, n)?;
+    store_f32s(
+        c,
+        (0..n).map(|i| {
+            (0..4)
+                .map(|j| f32_at(a, 4 * i + j) * f32_at(b, 4 * i + j))
+                .sum()
+        }),
+    );
     Ok(())
 }
 
@@ -406,16 +408,13 @@ fn k_dot_product(args: &mut [ArgData]) -> Result<(), ExecError> {
 // ---------------------------------------------------------------------
 
 fn k_conv(args: &mut [ArgData], rows: bool) -> Result<(), ExecError> {
-    expect_args(args, 6)?;
-    let w = args[3].scalar_u32()? as usize;
-    let h = args[4].scalar_u32()? as usize;
-    let radius = args[5].scalar_u32()? as i64;
-    check_len(0, args[0].buffer()?, w * h * 4)?;
-    check_len(1, args[1].buffer()?, w * h * 4)?;
-    check_len(2, args[2].buffer()?, (2 * radius as usize + 1) * 4)?;
-    let srcv = to_f32_vec(args[0].buffer()?);
-    let filter = to_f32_vec(args[2].buffer()?);
-    let mut dst = vec![0.0f32; w * h];
+    let [src, dst, filter, w, h, radius] = arity(args)?;
+    let w = w.scalar_u32()? as usize;
+    let h = h.scalar_u32()? as usize;
+    let radius = radius.scalar_u32()? as i64;
+    let src = input(src, 0, w * h)?;
+    let dst = output(dst, 1, w * h)?;
+    let filter = input(filter, 2, 2 * radius as usize + 1)?;
     for y in 0..h as i64 {
         for x in 0..w as i64 {
             let mut acc = 0.0f32;
@@ -425,23 +424,23 @@ fn k_conv(args: &mut [ArgData], rows: bool) -> Result<(), ExecError> {
                 } else {
                     (x, (y + k).clamp(0, h as i64 - 1))
                 };
-                acc += srcv[(yy * w as i64 + xx) as usize] * filter[(k + radius) as usize];
+                acc += f32_at(src, (yy * w as i64 + xx) as usize)
+                    * f32_at(filter, (k + radius) as usize);
             }
-            dst[(y * w as i64 + x) as usize] = acc;
+            set_f32(dst, (y * w as i64 + x) as usize, acc);
         }
     }
-    write_f32s(args[1].buffer_mut()?, &dst);
     Ok(())
 }
 
 fn k_dct8x8(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let w = args[2].scalar_u32()? as usize;
-    let h = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, w * h * 4)?;
-    check_len(1, args[1].buffer()?, w * h * 4)?;
-    let src = to_f32_vec(args[0].buffer()?);
-    let mut dst = vec![0.0f32; w * h];
+    let [src, dst, w, h] = arity(args)?;
+    let w = w.scalar_u32()? as usize;
+    let h = h.scalar_u32()? as usize;
+    let src = input(src, 0, w * h)?;
+    let dst = output(dst, 1, w * h)?;
+    // Lanes outside whole 8x8 blocks come out as zero.
+    dst.fill([0; 4]);
     let bw = w / 8;
     let bh = h / 8;
     let pi = std::f32::consts::PI;
@@ -454,98 +453,89 @@ fn k_dct8x8(args: &mut [ArgData]) -> Result<(), ExecError> {
                     let mut acc = 0.0f32;
                     for iy in 0..8 {
                         for ix in 0..8 {
-                            let px = src[(by * 8 + iy) * w + bx * 8 + ix];
+                            let px = f32_at(src, (by * 8 + iy) * w + bx * 8 + ix);
                             acc += px
                                 * ((2 * ix + 1) as f32 * u as f32 * pi / 16.0).cos()
                                 * ((2 * iy + 1) as f32 * v as f32 * pi / 16.0).cos();
                         }
                     }
-                    dst[(by * 8 + v) * w + bx * 8 + u] = 0.25 * cu * cv * acc;
+                    set_f32(dst, (by * 8 + v) * w + bx * 8 + u, 0.25 * cu * cv * acc);
                 }
             }
         }
     }
-    write_f32s(args[1].buffer_mut()?, &dst);
     Ok(())
 }
 
 fn k_dxt_compress(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let w = args[2].scalar_u32()? as usize;
-    let h = args[3].scalar_u32()? as usize;
+    let [src, dst, w, h] = arity(args)?;
+    let w = w.scalar_u32()? as usize;
+    let h = h.scalar_u32()? as usize;
     let n = w * h;
     let blocks = n / 16;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, blocks * 8)?;
-    let src = to_f32_vec(args[0].buffer()?);
-    let mut dst = vec![0.0f32; blocks * 2];
-    for b in 0..blocks {
-        let block = &src[b * 16..b * 16 + 16];
+    let src = input(src, 0, n)?;
+    let dst = output(dst, 1, blocks * 2)?;
+    for (b, block) in src.chunks_exact(16).enumerate() {
         let mut lo = f32::INFINITY;
         let mut hi = f32::NEG_INFINITY;
-        for &px in block {
+        for px in f32_lanes(block) {
             lo = lo.min(px);
             hi = hi.max(px);
         }
-        dst[b * 2] = lo;
-        dst[b * 2 + 1] = hi;
+        set_f32(dst, b * 2, lo);
+        set_f32(dst, b * 2 + 1, hi);
     }
-    write_f32s(args[1].buffer_mut()?, &dst);
     Ok(())
 }
 
 fn k_histogram64(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, 64 * 4)?;
-    let data = to_f32_vec(args[0].buffer()?);
+    let [data, out, _scratch, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let data = input(data, 0, n)?;
+    let out = output(out, 1, 64)?;
     let mut hist = [0u32; 64];
-    for &v in data.iter().take(n) {
+    for v in f32_lanes(data) {
         let bin = ((v * 64.0) as i64).clamp(0, 63) as usize;
         hist[bin] += 1;
     }
-    write_u32s(args[1].buffer_mut()?, &hist);
+    store_u32s(out, hist);
     Ok(())
 }
 
 fn k_fdtd3d(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 5)?;
-    let dx = args[2].scalar_u32()? as usize;
-    let dy = args[3].scalar_u32()? as usize;
-    let dz = args[4].scalar_u32()? as usize;
+    let [src, dst, dx, dy, dz] = arity(args)?;
+    let dx = dx.scalar_u32()? as usize;
+    let dy = dy.scalar_u32()? as usize;
+    let dz = dz.scalar_u32()? as usize;
     let n = dx * dy * dz;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    let input = to_f32_vec(args[0].buffer()?);
-    let mut out = vec![0.0f32; n];
+    let src = input(src, 0, n)?;
+    let dst = output(dst, 1, n)?;
     let idx = |x: usize, y: usize, z: usize| (z * dy + y) * dx + x;
+    let at = |x: usize, y: usize, z: usize| f32_at(src, idx(x, y, z));
     for z in 0..dz {
         for y in 0..dy {
             for x in 0..dx {
-                let c = input[idx(x, y, z)];
-                let xm = input[idx(x.saturating_sub(1), y, z)];
-                let xp = input[idx((x + 1).min(dx - 1), y, z)];
-                let ym = input[idx(x, y.saturating_sub(1), z)];
-                let yp = input[idx(x, (y + 1).min(dy - 1), z)];
-                let zm = input[idx(x, y, z.saturating_sub(1))];
-                let zp = input[idx(x, y, (z + 1).min(dz - 1))];
-                out[idx(x, y, z)] = 0.4 * c + 0.1 * (xm + xp + ym + yp + zm + zp);
+                let c = at(x, y, z);
+                let xm = at(x.saturating_sub(1), y, z);
+                let xp = at((x + 1).min(dx - 1), y, z);
+                let ym = at(x, y.saturating_sub(1), z);
+                let yp = at(x, (y + 1).min(dy - 1), z);
+                let zm = at(x, y, z.saturating_sub(1));
+                let zp = at(x, y, (z + 1).min(dz - 1));
+                let v = 0.4 * c + 0.1 * (xm + xp + ym + yp + zm + zp);
+                set_f32(dst, idx(x, y, z), v);
             }
         }
     }
-    write_f32s(args[1].buffer_mut()?, &out);
     Ok(())
 }
 
 fn k_stencil2d(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let w = args[2].scalar_u32()? as usize;
-    let h = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, w * h * 4)?;
-    check_len(1, args[1].buffer()?, w * h * 4)?;
-    let input = to_f32_vec(args[0].buffer()?);
-    let mut out = vec![0.0f32; w * h];
+    let [src, dst, w, h] = arity(args)?;
+    let w = w.scalar_u32()? as usize;
+    let h = h.scalar_u32()? as usize;
+    let src = input(src, 0, w * h)?;
+    let dst = output(dst, 1, w * h)?;
     for y in 0..h {
         for x in 0..w {
             let mut acc = 0.0f32;
@@ -554,13 +544,12 @@ fn k_stencil2d(args: &mut [ArgData]) -> Result<(), ExecError> {
                     let xx = (x as i64 + dx).clamp(0, w as i64 - 1) as usize;
                     let yy = (y as i64 + dy).clamp(0, h as i64 - 1) as usize;
                     let wgt = if dx == 0 && dy == 0 { 0.5 } else { 0.0625 };
-                    acc += input[yy * w + xx] * wgt;
+                    acc += f32_at(src, yy * w + xx) * wgt;
                 }
             }
-            out[y * w + x] = acc;
+            set_f32(dst, y * w + x, acc);
         }
     }
-    write_f32s(args[1].buffer_mut()?, &out);
     Ok(())
 }
 
@@ -569,27 +558,24 @@ fn k_stencil2d(args: &mut [ArgData]) -> Result<(), ExecError> {
 // ---------------------------------------------------------------------
 
 fn k_md_forces(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[2].scalar_u32()? as usize;
-    let cutoff = args[3].scalar_f32()?;
-    check_len(0, args[0].buffer()?, n * 12)?;
-    check_len(1, args[1].buffer()?, n * 12)?;
-    let pos = to_f32_vec(args[0].buffer()?);
-    let mut force = vec![0.0f32; n * 3];
+    let [pos, force, n, cutoff] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let cutoff = cutoff.scalar_f32()?;
+    let pos = input(pos, 0, n * 3)?;
+    let force = output(force, 1, n * 3)?;
     let cutoff2 = cutoff * cutoff;
     // Neighbour-window Lennard-Jones: deterministic and O(n).
-    const WINDOW: i64 = 8;
-    for i in 0..n as i64 {
+    const WINDOW: usize = 8;
+    let atom = |j: usize| [0, 1, 2].map(|d| f32_at(pos, 3 * j + d));
+    for i in 0..n {
         let (mut fx, mut fy, mut fz) = (0.0f32, 0.0f32, 0.0f32);
-        let lo = (i - WINDOW).max(0);
-        let hi = (i + WINDOW).min(n as i64 - 1);
-        for j in lo..=hi {
+        let p = atom(i);
+        for j in i.saturating_sub(WINDOW)..=(i + WINDOW).min(n - 1) {
             if j == i {
                 continue;
             }
-            let dx = pos[3 * i as usize] - pos[3 * j as usize];
-            let dy = pos[3 * i as usize + 1] - pos[3 * j as usize + 1];
-            let dz = pos[3 * i as usize + 2] - pos[3 * j as usize + 2];
+            let q = atom(j);
+            let (dx, dy, dz) = (p[0] - q[0], p[1] - q[1], p[2] - q[2]);
             let r2 = (dx * dx + dy * dy + dz * dz).max(0.01);
             if r2 > cutoff2 {
                 continue;
@@ -601,27 +587,24 @@ fn k_md_forces(args: &mut [ArgData]) -> Result<(), ExecError> {
             fy += f * dy;
             fz += f * dz;
         }
-        force[3 * i as usize] = fx;
-        force[3 * i as usize + 1] = fy;
-        force[3 * i as usize + 2] = fz;
+        store_f32s(&mut force[3 * i..3 * i + 3], [fx, fy, fz]);
     }
-    write_f32s(args[1].buffer_mut()?, &force);
     Ok(())
 }
 
 fn k_fft_radix2(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 3)?;
-    let n = args[2].scalar_u32()? as usize;
+    let [re_buf, im_buf, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
     if n == 0 || !n.is_power_of_two() {
         return Err(ExecError::ArgType {
             expected: "power-of-two n",
             got: "non-power-of-two n",
         });
     }
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    let mut re = to_f32_vec(args[0].buffer()?);
-    let mut im = to_f32_vec(args[1].buffer()?);
+    let (re_buf, im_buf) = (output(re_buf, 0, n)?, output(im_buf, 1, n)?);
+    // A permutation needs scratch: decode the first n lanes once.
+    let mut re: Vec<f32> = f32_lanes(re_buf).collect();
+    let mut im: Vec<f32> = f32_lanes(im_buf).collect();
     // Bit-reversal permutation.
     let bits = n.trailing_zeros();
     for i in 0..n {
@@ -648,122 +631,96 @@ fn k_fft_radix2(args: &mut [ArgData]) -> Result<(), ExecError> {
         }
         len <<= 1;
     }
-    write_f32s(args[0].buffer_mut()?, &re);
-    write_f32s(args[1].buffer_mut()?, &im);
+    store_f32s(re_buf, re);
+    store_f32s(im_buf, im);
     Ok(())
 }
 
 fn k_s3d_rate(k: u32, args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 3)?;
-    let n = args[2].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    let state = to_f32_vec(args[0].buffer()?);
+    let [state, rates, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let state = input(state, 0, n)?;
+    let rates = output(rates, 1, n)?;
     let (c0, c1, c2) = ((k + 1) as f32, (k + 2) as f32, (k + 3) as f32);
-    let rates: Vec<f32> = state[..n]
-        .iter()
-        .map(|&t| c0 + c1 * t + c2 * t * t)
-        .collect();
-    write_f32s(args[1].buffer_mut()?, &rates);
+    store_f32s(rates, f32_lanes(state).map(|t| c0 + c1 * t + c2 * t * t));
     Ok(())
 }
 
 fn k_cp_potential(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 5)?;
-    let natoms = args[2].scalar_u32()? as usize;
-    let gw = args[3].scalar_u32()? as usize;
-    let gh = args[4].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, natoms * 16)?;
-    check_len(1, args[1].buffer()?, gw * gh * 4)?;
-    let atoms = to_f32_vec(args[0].buffer()?);
-    let mut grid = vec![0.0f32; gw * gh];
+    let [atoms, grid, natoms, gw, gh] = arity(args)?;
+    let natoms = natoms.scalar_u32()? as usize;
+    let gw = gw.scalar_u32()? as usize;
+    let gh = gh.scalar_u32()? as usize;
+    let atoms = input(atoms, 0, natoms * 4)?;
+    let grid = output(grid, 1, gw * gh)?;
     for gy in 0..gh {
         for gx in 0..gw {
             let mut acc = 0.0f32;
             for a in 0..natoms {
-                let dx = atoms[4 * a] - gx as f32;
-                let dy = atoms[4 * a + 1] - gy as f32;
-                let dz = atoms[4 * a + 2];
-                acc += atoms[4 * a + 3] / (dx * dx + dy * dy + dz * dz + 1.0).sqrt();
+                let dx = f32_at(atoms, 4 * a) - gx as f32;
+                let dy = f32_at(atoms, 4 * a + 1) - gy as f32;
+                let dz = f32_at(atoms, 4 * a + 2);
+                acc += f32_at(atoms, 4 * a + 3) / (dx * dx + dy * dy + dz * dz + 1.0).sqrt();
             }
-            grid[gy * gw + gx] = acc;
+            set_f32(grid, gy * gw + gx, acc);
         }
     }
-    write_f32s(args[1].buffer_mut()?, &grid);
     Ok(())
 }
 
-fn mri_core(args: &mut [ArgData], fhd: bool) -> Result<(), ExecError> {
-    let (nk_idx, nx_idx) = if fhd { (10, 11) } else { (9, 10) };
-    let nk = args[nk_idx].scalar_u32()? as usize;
-    let nx = args[nx_idx].scalar_u32()? as usize;
-    let tau = 2.0 * std::f32::consts::PI;
-    if fhd {
-        // k-space inputs are nk long, spatial inputs and outputs nx.
-        for (idx, arg) in args.iter().enumerate().take(10) {
-            check_len(idx, arg.buffer()?, if idx < 5 { nk * 4 } else { nx * 4 })?;
-        }
-        let rphi = to_f32_vec(args[0].buffer()?);
-        let iphi = to_f32_vec(args[1].buffer()?);
-        let kx = to_f32_vec(args[2].buffer()?);
-        let ky = to_f32_vec(args[3].buffer()?);
-        let kz = to_f32_vec(args[4].buffer()?);
-        let x = to_f32_vec(args[5].buffer()?);
-        let y = to_f32_vec(args[6].buffer()?);
-        let z = to_f32_vec(args[7].buffer()?);
-        let mut rr_out = vec![0.0f32; nx];
-        let mut ii_out = vec![0.0f32; nx];
-        for i in 0..nx {
-            let (mut rr, mut ii) = (0.0f32, 0.0f32);
-            for k in 0..nk {
-                let e = tau * (kx[k] * x[i] + ky[k] * y[i] + kz[k] * z[i]);
-                let (s, c) = e.sin_cos();
-                rr += rphi[k] * c - iphi[k] * s;
-                ii += iphi[k] * c + rphi[k] * s;
-            }
-            rr_out[i] = rr;
-            ii_out[i] = ii;
-        }
-        write_f32s(args[8].buffer_mut()?, &rr_out);
-        write_f32s(args[9].buffer_mut()?, &ii_out);
-    } else {
-        for (idx, arg) in args.iter().enumerate().take(9) {
-            check_len(idx, arg.buffer()?, if idx < 4 { nk * 4 } else { nx * 4 })?;
-        }
-        let phi = to_f32_vec(args[0].buffer()?);
-        let kx = to_f32_vec(args[1].buffer()?);
-        let ky = to_f32_vec(args[2].buffer()?);
-        let kz = to_f32_vec(args[3].buffer()?);
-        let x = to_f32_vec(args[4].buffer()?);
-        let y = to_f32_vec(args[5].buffer()?);
-        let z = to_f32_vec(args[6].buffer()?);
-        let mut qr = vec![0.0f32; nx];
-        let mut qi = vec![0.0f32; nx];
-        for i in 0..nx {
-            let (mut rr, mut ii) = (0.0f32, 0.0f32);
-            for k in 0..nk {
-                let e = tau * (kx[k] * x[i] + ky[k] * y[i] + kz[k] * z[i]);
-                let (s, c) = e.sin_cos();
-                rr += phi[k] * c;
-                ii += phi[k] * s;
-            }
-            qr[i] = rr;
-            qi[i] = ii;
-        }
-        write_f32s(args[7].buffer_mut()?, &qr);
-        write_f32s(args[8].buffer_mut()?, &qi);
-    }
-    Ok(())
+/// `2π (k · x)` for k-space sample `k` and voxel `x`.
+fn mri_phase(kxyz: [&[Lane]; 3], k: usize, x: [f32; 3]) -> f32 {
+    let [kx, ky, kz] = kxyz;
+    2.0 * std::f32::consts::PI
+        * (f32_at(kx, k) * x[0] + f32_at(ky, k) * x[1] + f32_at(kz, k) * x[2])
 }
 
 fn k_mri_fhd(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 12)?;
-    mri_core(args, true)
+    let [rphi, iphi, kx, ky, kz, x, y, z, rr_out, ii_out, nk, nx] = arity(args)?;
+    // k-space inputs are nk long, spatial inputs and outputs nx.
+    let nk = nk.scalar_u32()? as usize;
+    let nx = nx.scalar_u32()? as usize;
+    let (rphi, iphi) = (input(rphi, 0, nk)?, input(iphi, 1, nk)?);
+    let kxyz = [input(kx, 2, nk)?, input(ky, 3, nk)?, input(kz, 4, nk)?];
+    let (x, y, z) = (input(x, 5, nx)?, input(y, 6, nx)?, input(z, 7, nx)?);
+    let (rr_out, ii_out) = (output(rr_out, 8, nx)?, output(ii_out, 9, nx)?);
+    for i in 0..nx {
+        let xi = [f32_at(x, i), f32_at(y, i), f32_at(z, i)];
+        let (mut rr, mut ii) = (0.0f32, 0.0f32);
+        for k in 0..nk {
+            let (s, c) = mri_phase(kxyz, k, xi).sin_cos();
+            let (rp, ip) = (f32_at(rphi, k), f32_at(iphi, k));
+            rr += rp * c - ip * s;
+            ii += ip * c + rp * s;
+        }
+        set_f32(rr_out, i, rr);
+        set_f32(ii_out, i, ii);
+    }
+    Ok(())
 }
 
 fn k_mri_q(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 11)?;
-    mri_core(args, false)
+    let [phi, kx, ky, kz, x, y, z, qr, qi, nk, nx] = arity(args)?;
+    // k-space inputs are nk long, spatial inputs and outputs nx.
+    let nk = nk.scalar_u32()? as usize;
+    let nx = nx.scalar_u32()? as usize;
+    let phi = input(phi, 0, nk)?;
+    let kxyz = [input(kx, 1, nk)?, input(ky, 2, nk)?, input(kz, 3, nk)?];
+    let (x, y, z) = (input(x, 4, nx)?, input(y, 5, nx)?, input(z, 6, nx)?);
+    let (qr, qi) = (output(qr, 7, nx)?, output(qi, 8, nx)?);
+    for i in 0..nx {
+        let xi = [f32_at(x, i), f32_at(y, i), f32_at(z, i)];
+        let (mut rr, mut ii) = (0.0f32, 0.0f32);
+        for k in 0..nk {
+            let (s, c) = mri_phase(kxyz, k, xi).sin_cos();
+            let p = f32_at(phi, k);
+            rr += p * c;
+            ii += p * s;
+        }
+        set_f32(qr, i, rr);
+        set_f32(qi, i, ii);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -771,86 +728,65 @@ fn k_mri_q(args: &mut [ArgData]) -> Result<(), ExecError> {
 // ---------------------------------------------------------------------
 
 fn k_mersenne_twister(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[2].scalar_u32()? as usize;
-    let per = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * per * 4)?;
-    let seeds = to_u32_vec(args[0].buffer()?);
-    let mut out = vec![0.0f32; n * per];
-    for i in 0..n {
-        let mut state = seeds[i];
-        for (j, slot) in out[i * per..(i + 1) * per].iter_mut().enumerate() {
-            let _ = j;
-            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            *slot = (state >> 8) as f32 / 16_777_216.0;
-        }
+    let [seeds, out, n, per] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let per = per.scalar_u32()? as usize;
+    let seeds = input(seeds, 0, n)?;
+    let out = output(out, 1, n * per)?;
+    for (i, mut state) in u32_lanes(seeds).enumerate() {
+        store_f32s(
+            &mut out[i * per..(i + 1) * per],
+            (0..per).map(|_| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (state >> 8) as f32 / 16_777_216.0
+            }),
+        );
     }
-    write_f32s(args[1].buffer_mut()?, &out);
     Ok(())
 }
 
 fn k_quasirandom(args: &mut [ArgData], _global: [u64; 3]) -> Result<(), ExecError> {
-    expect_args(args, 2)?;
-    let n = args[1].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
+    let [out, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let out = output(out, 0, n)?;
     const PHI: f64 = 0.618_033_988_749_894_9;
-    let out: Vec<f32> = (0..n)
-        .map(|i| {
+    store_f32s(
+        out,
+        (0..n).map(|i| {
             let v = i as f64 * PHI;
             (v - v.floor()) as f32
-        })
-        .collect();
-    write_f32s(args[0].buffer_mut()?, &out);
+        }),
+    );
     Ok(())
 }
 
 fn k_sampler_scale(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 3)?;
-    let n = args[2].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
+    let [out, sampler, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let out = output(out, 0, n)?;
     // The sampler handle arrives as an 8-byte opaque scalar; its value
     // does not affect the computation (as with a real const sampler).
-    match &args[1] {
-        ArgData::Scalar(b) if b.len() == 8 => {}
-        _ => {
-            return Err(ExecError::ArgType {
-                expected: "8-byte sampler handle",
-                got: "other",
-            })
-        }
-    }
-    let out: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
-    write_f32s(args[0].buffer_mut()?, &out);
+    expect_sampler(sampler)?;
+    store_f32s(out, (0..n).map(|i| i as f32 * 0.5));
     Ok(())
 }
 
 fn k_image_scale(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 5)?;
-    let w = args[3].scalar_u32()? as usize;
-    let h = args[4].scalar_u32()? as usize;
-    match &args[1] {
-        ArgData::Scalar(b) if b.len() == 8 => {} // the sampler handle
-        _ => {
-            return Err(ExecError::ArgType {
-                expected: "8-byte sampler handle",
-                got: "other",
-            })
-        }
-    }
-    check_len(0, args[0].buffer()?, w * h * 4)?;
-    check_len(2, args[2].buffer()?, w * h * 4)?;
-    let img = to_f32_vec(args[0].buffer()?);
-    let out: Vec<f32> = img[..w * h].iter().map(|v| v * 2.0).collect();
-    write_f32s(args[2].buffer_mut()?, &out);
+    let [img, sampler, out, w, h] = arity(args)?;
+    let w = w.scalar_u32()? as usize;
+    let h = h.scalar_u32()? as usize;
+    expect_sampler(sampler)?;
+    let img = input(img, 0, w * h)?;
+    let out = output(out, 2, w * h)?;
+    store_f32s(out, f32_lanes(img).map(|v| v * 2.0));
     Ok(())
 }
 
 fn k_consume(args: &mut [ArgData]) -> Result<(), ExecError> {
     // Takes a by-value struct (opaque 16-byte blob holding a device
     // pointer the driver has already validated) plus an output buffer.
-    expect_args(args, 2)?;
-    match &args[0] {
+    let [blob, out] = arity(args)?;
+    match blob {
         ArgData::Scalar(b) if b.len() == 16 => {}
         _ => {
             return Err(ExecError::ArgType {
@@ -859,9 +795,8 @@ fn k_consume(args: &mut [ArgData]) -> Result<(), ExecError> {
             })
         }
     }
-    let out = args[1].buffer_mut()?;
-    if out.len() >= 4 {
-        out[..4].copy_from_slice(&1.0f32.to_le_bytes());
+    if let Some(first) = lanes_mut(out.buffer_mut()?).first_mut() {
+        *first = 1.0f32.to_le_bytes();
     }
     Ok(())
 }
@@ -888,7 +823,7 @@ mod tests {
     }
 
     fn out_f32(args: &[ArgData], idx: usize) -> Vec<f32> {
-        to_f32_vec(args[idx].buffer().unwrap())
+        f32_lanes(lanes(args[idx].buffer().unwrap())).collect()
     }
 
     #[test]
@@ -959,7 +894,7 @@ mod tests {
                 buf = args.swap_remove(0);
             }
         }
-        keys = to_u32_vec(buf.buffer().unwrap());
+        keys = u32_lanes(lanes(buf.buffer().unwrap())).collect();
         assert_eq!(keys, expected);
     }
 
@@ -970,7 +905,10 @@ mod tests {
         expected.sort_unstable();
         let mut args = vec![buf_u32(&keys), scalar_u32(200)];
         execute("radix_sort", [200, 1, 1], &mut args).unwrap();
-        assert_eq!(to_u32_vec(args[0].buffer().unwrap()), expected);
+        assert_eq!(
+            u32_lanes(lanes(args[0].buffer().unwrap())).collect::<Vec<_>>(),
+            expected
+        );
     }
 
     #[test]
@@ -1068,7 +1006,7 @@ mod tests {
             scalar_u32(128),
         ];
         execute("histogram64", [128, 1, 1], &mut args).unwrap();
-        let hist = to_u32_vec(args[1].buffer().unwrap());
+        let hist = u32_lanes(lanes(args[1].buffer().unwrap())).collect::<Vec<_>>();
         assert_eq!(hist.iter().sum::<u32>(), 128);
         assert!(hist.iter().all(|&c| c == 2));
     }

@@ -101,6 +101,12 @@ cargo run -q --release -p checl-bench --bin ablation_gray >/dev/null
 git diff --exit-code -- results/BENCH_ablation_gray.json
 
 if [[ "$QUICK" -eq 0 ]]; then
+    echo "==> smoke: fig4 interposition overhead (golden diff)"
+    # Native and CheCL runs of every workload on every target: the
+    # forward-path overhead of Fig. 4, in virtual time.
+    cargo run -q --release -p checl-bench --bin fig4_overhead >/dev/null
+    git diff --exit-code -- results/BENCH_fig4_overhead.json
+
     echo "==> smoke: fleet scheduler sweep (golden diff, ~3 min)"
     # Sweeps 100 -> 10,000 admitted jobs; every cell verifies every
     # tenant bit-exact against an uninterrupted solo run, and the
